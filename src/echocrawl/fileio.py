@@ -135,7 +135,9 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):
-        return repr(value)
+        # float() first: a subclass such as numpy.float64 has its own repr
+        # ("np.float64(...)"), which no reader parses.
+        return repr(float(value))
     text = str(value)
     if any(ch.isspace() for ch in text) or "," in text:
         raise ValueError(f"header/cell value may not contain spaces: {text!r}")

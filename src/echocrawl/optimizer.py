@@ -16,22 +16,30 @@ every finite interval to one multiplier omega through
 
     p_i * g(mu_i * I_i) = omega,      g(x) = 1 - (1 + x) * exp(-x),
 
-so the solver bisects on omega: each trial omega yields intervals
-I_i = g_inverse(omega / p_i) / mu_i (infinite once omega >= p_i), and the
-bisection narrows until the budget constraint holds to within epsilon.
+so each trial omega yields intervals I_i = g_inverse(omega / p_i) / mu_i
+(infinite once omega >= p_i), and the solver looks for the omega at which
+the budget constraint holds to within epsilon.
 
-Because a source stops consuming its lambda_i page-crawl bandwidth the
-instant it is dropped, the constraint as a function of omega jumps down by
-lambda_i at omega = p_i.  A budget landing inside such a jump has no omega
-meeting the constraint; the bisection bracket then collapses onto the
-boundary utility.  The solver resolves this by excluding the boundary source
-(whose interval at that point is already astronomically long, so the
-sacrificed profit is ~0) and re-bisecting over the rest.  Excluded sources
-are reported in Schedule.pinched.
+As omega rises the budget residual (spend minus N) falls: smoothly between
+utilities, and by lambda_i at omega = p_i, because a source stops
+consuming its lambda_i page-crawl bandwidth the instant it is dropped.  So
+the solver works on the sorted distinct utilities (levels) directly.  It
+binary-searches them for the lowest level whose residual is at most
+epsilon; a level whose residual is within epsilon is a solution.  Below
+that level lies one smooth segment.  If the residual there, with the
+level's sources kept at the edge of g's flat tail, still exceeds epsilon,
+the budget falls inside the level's jump (a drop gap) and no omega meets
+the constraint.  The level's sources then either absorb the leftover
+budget at flat-tail intervals, where any interval meets stationarity to
+within tolerance, or are excluded, largest lambda first, and the search
+resumes below the level.  Excluded sources are reported in
+Schedule.pinched.  Otherwise a safeguarded Newton iteration finds omega
+inside the segment.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -47,7 +55,7 @@ logger = logging.getLogger(__name__)
 _UTILITY_FLOOR = 1e-300
 
 # Absolute floor for the inner g-inversion tolerance; below a few ulps of g
-# the bisection would chase floating point noise.
+# the inversion would chase floating point noise.
 _G_TOL_FLOOR = 5e-16
 
 
@@ -60,7 +68,8 @@ class ScheduleInfeasibleError(ValueError):
 
 
 class NoConvergenceError(RuntimeError):
-    """Outer bisection hit the iteration cap before meeting epsilon."""
+    """The Newton search in a segment hit the iteration cap, or its bracket
+    collapsed, before meeting epsilon."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (residual {residual:.6g} fetches/s)")
@@ -74,7 +83,8 @@ class SolverConfig:
     epsilon is the budget residual target in fetches/second.
     inner_tolerance is relative on g(x) = omega/p, so the stationarity error
     |p*g(mu*I) - omega| stays below inner_tolerance * omega.
-    max_iterations caps the outer bisection steps per bracket.
+    max_iterations caps the Newton steps inside one smooth segment of the
+    budget residual.
     """
 
     epsilon: float = 1e-6
@@ -124,13 +134,6 @@ def g(x: float) -> float:
     return (math.expm1(x) - x) * math.exp(-x)
 
 
-def _g_array(x: np.ndarray) -> np.ndarray:
-    xs = np.minimum(x, 50.0)
-    small = (np.expm1(xs) - xs) * np.exp(-xs)
-    big = 1.0 - (1.0 + x) * np.exp(-x)
-    return np.where(x <= 50.0, small, big)
-
-
 def g_inverse(y: float, tolerance: float = 1e-12) -> float:
     """Solve g(x) = y by doubling out a bracket, then bisecting.
 
@@ -164,39 +167,124 @@ def g_inverse(y: float, tolerance: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def _g_inverse_bulk(y: np.ndarray, tol: np.ndarray, x0: np.ndarray | None) -> np.ndarray:
-    """Vectorized g inversion: Newton from an asymptotic guess.
+def _g_inverse_bulk(y: np.ndarray, tol: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Vectorized g inversion: Newton from a warm start or an asymptotic guess.
 
-    For y < 1/2 the root is near sqrt(2y) (from g(x) ~ x^2/2); for y -> 1 it
-    is near w + log(1+w) with w = -log(1-y) (from 1 - g = (1+x)exp(-x)).
-    Warm starts from a previous solution skip most of the iterations.
-    Stragglers fall back to the scalar bisection.
+    Warm starts x0 > 0 from a previous solution skip most of the
+    iterations.  Where x0 is 0 (no previous solution; Newton cannot leave
+    x = 0) the start is the asymptotic root: near sqrt(2y) for y < 1/2
+    (from g(x) ~ x^2/2), near w + log(1+w) with w = -log(1-y) for y -> 1
+    (from 1 - g = (1+x)exp(-x)).
+
+    Newton runs on h(x) = log((1 - g(x)) / (1 - y)) = log1p(x) - x + w
+    rather than on g(x) - y: both vanish at the root, but h stays nearly
+    linear in g's flat tail, where g's slope x exp(-x) is tiny and Newton
+    on g creeps by about one unit of x per step.  The stopping test is
+    still |g(x) - y| <= tol, as (1 - y) |expm1(h)|, which needs no
+    cancelling 1 - (1 + x) exp(-x).  Stragglers fall back to the scalar
+    bisection.  Never returns x0 itself.
     """
     w = -np.log1p(-y)
-    fresh = np.where(y < 0.5, np.sqrt(2.0 * y), w + np.log1p(w))
-    if x0 is not None and x0.shape == y.shape:
-        # A zero warm value means the source was dropped at the previous
-        # omega; Newton cannot leave x = 0 (zero slope), so reseed those.
-        x = np.where(x0 > 0.0, x0, fresh)
+    if (x0 > 0.0).all():
+        x = x0.copy()
     else:
-        x = fresh
+        x = np.where(x0 > 0.0, x0, np.where(y < 0.5, np.sqrt(2.0 * y), w + np.log1p(w)))
+    one_minus_y = 1.0 - y
 
-    err = _g_array(x) - y
-    for _ in range(40):
-        if np.all(np.abs(err) <= tol):
-            return x
-        slope = x * np.exp(-np.minimum(x, 700.0))
-        step = np.where(slope > 0.0, err / np.where(slope > 0.0, slope, 1.0), 0.0)
-        # Trust region: at most an 8x move per step. A stale warm start can
-        # otherwise overshoot to 0 (where Newton stalls on zero slope) or to
-        # astronomically large x.
-        x = np.clip(x - step, 0.125 * x, 8.0 * x)
-        err = _g_array(x) - y
-
-    bad = np.abs(err) > tol
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(40):
+            h = np.log1p(x) - x + w
+            if (np.abs(np.expm1(h)) * one_minus_y <= tol).all():
+                return x
+            # h'(x) = -x / (1 + x).  Trust region: at most an 8x move per
+            # step, so a stale warm start cannot overshoot to 0 or to
+            # astronomically large x.
+            x = (x + h * (1.0 + x) / x).clip(0.125 * x, 8.0 * x)
+        h = np.log1p(x) - x + w
+        # NaN errors count as unconverged.
+        bad = ~(np.abs(np.expm1(h)) * one_minus_y <= tol)
     for idx in np.nonzero(bad)[0]:
         x[idx] = g_inverse(float(y[idx]), float(tol[idx]))
     return x
+
+
+@functools.lru_cache(maxsize=8)
+def _flat_edge(inner_tolerance: float) -> float:
+    """The x past which g(x) is within inner_tolerance of 1."""
+    return g_inverse(1.0 - inner_tolerance, _G_TOL_FLOOR)
+
+
+class _Sources:
+    """The schedulable sources, sorted by descending utility (ties in id
+    order), so that the sources kept at a multiplier omega, those whose
+    utility exceeds it, are a prefix of every array."""
+
+    def __init__(self, ids: "list[SourceId]", p: np.ndarray, mu: np.ndarray, lam: np.ndarray):
+        self.all_ids = ids
+        self.order = np.argsort(-p, kind="stable")  # positions in all_ids
+        order = self.order
+        self.p = p[order]
+        self.mu = mu[order]
+        self.lam = lam[order]
+        self.x = np.zeros(len(ids))  # warm starts for the inner inversion
+        self._index()
+
+    def _index(self) -> None:
+        self.neg_p = -self.p
+        self.lam_prefix = np.concatenate(([0.0], np.cumsum(self.lam)))
+        self.levels = np.unique(self.p)  # distinct utilities, ascending
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def kept(self, omega: float) -> int:
+        """How many sources have utility above omega."""
+        return int(np.searchsorted(self.neg_p, -omega, side="left"))
+
+    def level(self, omega: float) -> "range":
+        """Positions of the sources whose utility equals omega."""
+        return range(self.kept(omega), int(np.searchsorted(self.neg_p, -omega, side="right")))
+
+    def residual(self, omega: float, budget: float, inner_tolerance: float):
+        """Budget residual at omega and the kept sources' g-arguments x."""
+        k = self.kept(omega)
+        if k == 0:
+            return -budget, self.x[:0]
+        y = omega / self.p[:k]
+        tol = np.maximum(inner_tolerance * y, _G_TOL_FLOOR)
+        x = _g_inverse_bulk(y, tol, self.x[:k])
+        self.x[:k] = x
+        with np.errstate(divide="ignore"):
+            rate = self.mu[:k] / x
+        return float(rate.sum() + self.lam_prefix[k] - budget), x
+
+    def steepness(self, x: np.ndarray) -> np.ndarray:
+        """-d(mu/x)/d(omega) = mu e^x / (p x^3) per kept source, from
+        p g'(x) dx = d(omega)."""
+        k = len(x)
+        with np.errstate(divide="ignore", over="ignore"):
+            return self.mu[:k] * np.exp(np.minimum(x, 700.0)) / (self.p[:k] * x**3)
+
+    def drop(self, positions: "list[int]") -> None:
+        self.order = np.delete(self.order, positions)
+        self.p = np.delete(self.p, positions)
+        self.mu = np.delete(self.mu, positions)
+        self.lam = np.delete(self.lam, positions)
+        self.x = np.delete(self.x, positions)
+        self._index()
+
+    def sid(self, position: int) -> SourceId:
+        return self.all_ids[self.order[position]]
+
+    def intervals(self, x: np.ndarray, extra: "Mapping[int, float]") -> "list[float]":
+        """Intervals in all_ids order: the kept prefix at x / mu, the extra
+        positions at the interval given, every other source at infinity."""
+        k = len(x)
+        values = np.full(len(self.all_ids), math.inf)
+        values[self.order[:k]] = x / self.mu[:k]
+        for i, interval in extra.items():
+            values[self.order[i]] = interval
+        return values.tolist()
 
 
 def solve_schedule(
@@ -209,9 +297,11 @@ def solve_schedule(
     Sources with lambda = 0 or negligible utility are assigned infinite
     intervals up front.  Raises ScheduleInfeasibleError when the budget
     cannot be met even with a single source kept, NoConvergenceError when
-    the bisection exhausts max_iterations without meeting epsilon.
+    the Newton search inside a segment exhausts max_iterations without
+    meeting epsilon.
     """
     cfg = config or SolverConfig()
+    eps = cfg.epsilon
     items = list(sources.items()) if isinstance(sources, Mapping) else list(sources)
     if not items:
         raise ValueError("solve_schedule needs at least one source")
@@ -225,229 +315,205 @@ def solve_schedule(
     mu: list[float] = []
     lam: list[float] = []
     for sid, sp in items:
-        if sp.lambda_rate <= 0.0 or sp.profit <= 0.0 or sp.utility <= _UTILITY_FLOOR:
+        p = sp.utility
+        if sp.lambda_rate <= 0.0 or sp.profit <= 0.0 or p <= _UTILITY_FLOOR:
             intervals[sid] = math.inf
             continue
         ids.append(sid)
-        utility.append(sp.utility)
+        utility.append(p)
         mu.append(sp.decay)
         lam.append(sp.lambda_rate)
 
     if not ids:
         raise ScheduleInfeasibleError("no schedulable sources (all pre-filtered)", budget)
 
-    p_arr = np.asarray(utility)
-    mu_arr = np.asarray(mu)
-    lam_arr = np.asarray(lam)
-    active = np.ones(len(ids), dtype=bool)
+    src = _Sources(ids, np.asarray(utility), np.asarray(mu), np.asarray(lam))
+    # Only src's sorted copies are read from here on: free the per-source
+    # lists (about 5 MB at 10^5 sources) before the search allocates.
+    del utility, mu, lam
     pinched: set[SourceId] = set()
-    x_warm = np.zeros(len(ids))
 
-    def evaluate(omega: float) -> "tuple[float, np.ndarray, float]":
-        """Budget residual and its omega-derivative; updates x_warm."""
-        keep = active & (omega < p_arr)
-        if not keep.any():
-            return -budget, keep, 0.0
-        y = omega / p_arr[keep]
-        tol = np.maximum(cfg.inner_tolerance * y, _G_TOL_FLOOR)
-        x = _g_inverse_bulk(y, tol, x_warm[keep])
-        x_warm[keep] = x
-        with np.errstate(divide="ignore", over="ignore"):
-            rate = np.where(x > 0.0, mu_arr[keep] / x, np.inf)
-            # d(mu/x)/d(omega) = -mu e^x / (p x^3), from p g'(x) dx = d(omega)
-            dterm = np.where(
-                x > 0.0,
-                mu_arr[keep] * np.exp(np.minimum(x, 700.0)) / (p_arr[keep] * x**3),
-                np.inf,
-            )
-        residual = float(rate.sum() + lam_arr[keep].sum() - budget)
-        return residual, keep, -float(dterm.sum())
+    def residual(omega: float) -> "tuple[float, np.ndarray]":
+        return src.residual(omega, budget, cfg.inner_tolerance)
 
+    def solution(omega, res, x, extra: "Mapping[int, float] | None" = None) -> Schedule:
+        intervals.update(zip(ids, src.intervals(x, extra or {})))
+        return Schedule(
+            intervals=intervals,
+            omega=float(omega),
+            budget=budget,
+            residual=float(res),
+            pinched=frozenset(pinched),
+        )
+
+    # u is the lowest multiplier known to leave the residual at or below
+    # epsilon.  The top utility always qualifies: no source is kept there
+    # and the residual is -budget, which is never a solution, since one
+    # source must stay.  Dropping sources at u leaves the residual at u
+    # unchanged (they are not kept there), so u stays valid across
+    # exclusions.
+    u = math.inf
     while True:
-        lo = 0.0
-        hi = float(p_arr[active].max())
-        omega = 0.5 * (lo + hi)
-        residual = -budget
-        collapsed = False
-        # Newton on the residual with a bisection safeguard: take the Newton
-        # step only while it stays inside the bracket and shrinks faster than
-        # halving, otherwise bisect. The bracket also drives gap detection.
-        dx_old = hi - lo
-        dx = dx_old
-        for _ in range(cfg.max_iterations):
-            residual, keep, dres = evaluate(omega)
-            if abs(residual) <= cfg.epsilon:
-                for i, sid in enumerate(ids):
-                    if keep[i]:
-                        intervals[sid] = float(x_warm[i] / mu_arr[i])
-                    else:
-                        intervals[sid] = math.inf
-                return Schedule(
-                    intervals=intervals,
-                    omega=omega,
-                    budget=budget,
-                    residual=residual,
-                    pinched=frozenset(pinched),
-                )
-            if residual < 0.0:  # crawling less than the budget: omega too high
-                hi = omega
+        if src.levels[-1] < u:
+            u, r_u, x_u = float(src.levels[-1]), -budget, np.empty(0)
+        # Binary-search the levels (distinct utilities) below u for the
+        # lowest one whose residual is at most epsilon.  Between levels the
+        # residual falls smoothly as omega rises; at each level it drops by
+        # that level's lambda.
+        lo, r_lo = 0.0, math.inf
+        a, b = 0, int(np.searchsorted(src.levels, u, side="left"))
+        while a < b:
+            mid = (a + b) // 2
+            omega = float(src.levels[mid])
+            r, x = residual(omega)
+            if r > eps:
+                lo, r_lo, a = omega, r, mid + 1
+            elif r >= -eps:
+                # A level whose own residual is within epsilon: a solution
+                # with the level's sources dropped (omega = their utility).
+                return solution(omega, r, x)
             else:
-                lo = omega
-            if hi - lo <= 8.0 * math.ulp(hi):
-                collapsed = True
-                break
-            newton_bad = (
-                not math.isfinite(residual)
-                or not math.isfinite(dres)
-                or dres >= 0.0
-                or ((omega - hi) * dres - residual) * ((omega - lo) * dres - residual)
-                > 0.0
-                or abs(2.0 * residual) > abs(dx_old * dres)
-            )
-            dx_old = dx
-            if newton_bad:
-                dx = 0.5 * (hi - lo)
-                omega = lo + dx
-            else:
-                dx = residual / dres
-                omega -= dx
-        if not collapsed:
-            raise NoConvergenceError(
-                f"outer iteration did not converge in {cfg.max_iterations} steps",
-                residual,
-            )
+                u, r_u, x_u, b = omega, r, x, mid
 
-        # The bracket pinched onto a drop discontinuity: the budget falls in
-        # the lambda-wide jump at some source's utility. Drop boundary
-        # sources (largest lambda first frees the most budget; ties to
-        # lowest id) and re-bisect over the rest. Dropping the whole batch
-        # needed to push the boundary residual below zero in one pass gives
-        # the same exclusion sequence as dropping them one collapse at a
-        # time, without paying for a full bisection per exclusion.
-        slack = 8.0 * math.ulp(hi) + 1e-300
-        candidates = [
-            i
-            for i in range(len(ids))
-            if active[i] and lo - slack <= p_arr[i] <= hi + slack
-        ]
-        if not candidates:
-            # Collapse without a utility boundary in the bracket is a pure
-            # granularity shortfall: one ulp of omega moves the spend by
-            # more than epsilon. Fold the leftover into the steepest kept
-            # source (the one dominating d(spend)/d(omega)); its interval
-            # shift is sub-ulp in omega terms, so stationarity moves by far
-            # less than the inner tolerance.
-            best = -1
-            best_dres = 0.0
-            for i in range(len(ids)):
-                if keep[i] and x_warm[i] > 0.0:
-                    d = mu_arr[i] * math.exp(min(x_warm[i], 700.0)) / (
-                        p_arr[i] * x_warm[i] ** 3
+        # The residual is above epsilon at lo and below it at u.  Just
+        # below u the level's sources are kept at intervals in g's flat
+        # tail, each costing its lambda plus at most the flat-edge recrawl
+        # rate mu / x_edge; full is the residual with all of them at that.
+        level = src.level(u)
+        x_edge = _flat_edge(cfg.inner_tolerance)
+        at_u = slice(level.start, level.stop)
+        full = r_u + float((src.lam[at_u] + src.mu[at_u] / x_edge).sum())
+        if full <= eps:
+            # Not a drop gap: the residual crosses zero in the smooth
+            # segment (lo, u).  Newton on the residual with a bisection
+            # safeguard, taking the Newton step only while it stays inside
+            # the bracket and shrinks faster than halving.
+            hi = u
+            # Start from the secant between the segment's ends; from the
+            # midpoint when lo was never evaluated, or when full >= 0 would
+            # put the secant at or past u.
+            if math.isfinite(r_lo) and full < 0.0:
+                omega = lo + (hi - lo) * r_lo / (r_lo - full)
+            else:
+                omega = 0.5 * (lo + hi)
+            dx_old = dx = hi - lo
+            for _ in range(cfg.max_iterations):
+                r, x = residual(omega)
+                if abs(r) <= eps:
+                    return solution(omega, r, x)
+                if r < 0.0:  # crawling less than the budget: omega too high
+                    hi = omega
+                else:
+                    lo = omega
+                if hi - lo <= 8.0 * math.ulp(hi):
+                    break
+                dres = -float(src.steepness(x).sum())
+                newton_bad = (
+                    not math.isfinite(r)
+                    or not math.isfinite(dres)
+                    or dres >= 0.0
+                    or ((omega - hi) * dres - r) * ((omega - lo) * dres - r) > 0.0
+                    or abs(2.0 * r) > abs(dx_old * dres)
+                )
+                dx_old = dx
+                if newton_bad:
+                    dx = 0.5 * (hi - lo)
+                    omega = lo + dx
+                else:
+                    dx = r / dres
+                    omega -= dx
+            else:
+                raise NoConvergenceError(
+                    f"Newton search did not converge in {cfg.max_iterations} steps", r
+                )
+            if hi < u or not level:
+                folded = _fold_leftover(src, omega, r, x, cfg)
+                if folded is None:
+                    raise NoConvergenceError(
+                        "Newton bracket collapsed without meeting epsilon", r
                     )
-                    if d > best_dres:
-                        best, best_dres = i, d
-            if best >= 0:
-                new_spend = mu_arr[best] / x_warm[best] - residual
-                if new_spend > 0.0:
-                    x_new = mu_arr[best] / new_spend
-                    if (
-                        math.isfinite(x_new)
-                        and abs(p_arr[best] * g(x_new) - omega)
-                        <= cfg.inner_tolerance * omega
-                    ):
-                        polished = residual - mu_arr[best] / x_warm[best] + (
-                            mu_arr[best] / x_new
-                        )
-                        if abs(polished) <= cfg.epsilon:
-                            x_warm[best] = x_new
-                            for i, sid in enumerate(ids):
-                                if keep[i]:
-                                    intervals[sid] = float(x_warm[i] / mu_arr[i])
-                                else:
-                                    intervals[sid] = math.inf
-                            return Schedule(
-                                intervals=intervals,
-                                omega=omega,
-                                budget=budget,
-                                residual=polished,
-                                pinched=frozenset(pinched),
-                            )
-            # The leftover cannot be folded anywhere: tolerance below what
-            # the floating point residual can resolve.
-            raise NoConvergenceError(
-                "bisection bracket collapsed without meeting epsilon", residual
-            )
+                return solution(omega, *folded)
+            # The bracket collapsed onto the level itself: the crossing lies
+            # in g's flat tail, which omega cannot resolve; complete it as
+            # at a drop gap.
 
-        # Not every collapse is a drop gap. When the optimal interval lies in
-        # g's flat tail (g(x) is within inner_tolerance of 1), omega cannot
-        # resolve a boundary source's spend: every interval past the flat
-        # edge satisfies its stationarity to within tolerance. The solution
-        # completes by hand there: hold omega at the boundary and let the
-        # boundary sources absorb exactly the leftover budget, each capped
-        # at the flat-edge spend. This only returns when the residual lands
-        # at zero; otherwise the collapse really is a lambda-wide drop gap
-        # and control falls through to the exclusion pass below.
-        for i in candidates:
-            active[i] = False
-        r_rest, keep_rest, _ = evaluate(hi)
-        for i in candidates:
-            active[i] = True
-        need = -r_rest
-        if need > cfg.epsilon:
-            x_edge = g_inverse(1.0 - cfg.inner_tolerance, _G_TOL_FLOOR)
-            spends: "dict[int, float]" = {}
-            rem = need
-            for i in sorted(candidates, key=lambda i: (-lam_arr[i], ids[i])):
-                if lam_arr[i] < rem:
-                    s = min(mu_arr[i] / x_edge, rem - lam_arr[i])
-                    spends[i] = s
-                    rem -= lam_arr[i] + s
-            if spends and abs(rem) <= cfg.epsilon:
-                for i in candidates:
-                    if i not in spends:
-                        pinched.add(ids[i])
-                for i, sid in enumerate(ids):
-                    if keep_rest[i]:
-                        intervals[sid] = float(x_warm[i] / mu_arr[i])
-                    elif i in spends:
-                        intervals[sid] = 1.0 / spends[i]
-                    else:
-                        intervals[sid] = math.inf
-                return Schedule(
-                    intervals=intervals,
-                    omega=hi,
-                    budget=budget,
-                    residual=-rem,
-                    pinched=frozenset(pinched),
-                )
+        # u is a drop gap (the budget falls inside the jump of u's lambda),
+        # or the crossing sits in g's flat tail just below u.  In the flat
+        # tail every interval past the flat edge satisfies stationarity to
+        # within inner_tolerance, so hold omega at u and let the level's
+        # sources absorb exactly the leftover budget, each capped at the
+        # flat-edge spend.  That only succeeds when the residual lands
+        # within epsilon; otherwise exclude sources at the level.
+        by_lambda = sorted(level, key=lambda i: -src.lam[i])  # stable: ties by id
+        flat: "dict[int, float]" = {}  # position -> interval
+        rem = -r_u
+        for i in by_lambda:
+            if src.lam[i] < rem:
+                spend = min(src.mu[i] / x_edge, rem - src.lam[i])
+                flat[i] = 1.0 / spend
+                rem -= src.lam[i] + spend
+        if flat and abs(rem) <= eps:
+            pinched.update(src.sid(i) for i in level if i not in flat)
+            return solution(u, -rem, x_u, flat)
 
-        if active.sum() <= 1:
+        if len(src) <= 1:
             raise ScheduleInfeasibleError(
-                "budget infeasible: cannot meet constraint with the last source",
-                residual,
+                "budget infeasible: cannot meet constraint with the last source", r_u
             )
-        # Residual just below the boundary: candidate intervals are huge
-        # there, so each candidate contributes essentially only its lambda.
-        need, _, _ = evaluate(lo)
-        max_drops = int(active.sum()) - 1
-        order = sorted(candidates, key=lambda i: (-lam_arr[i], ids[i]))
-        dropped: "list[SourceId]" = []
-        for i in order:
-            if len(dropped) >= max_drops:
+        # Exclude the level's sources, largest lambda first (it frees the
+        # most budget), until full falls to zero; then search again below
+        # u.  Each exclusion is credited with its lambda only: the level's
+        # flat-edge recrawl rate stays counted as a margin, which drops one
+        # source more where the ones kept would sit so deep in the flat
+        # tail that they capture next to nothing for the lambda they cost.
+        need = full
+        dropped: "list[int]" = []
+        for i in by_lambda:
+            if len(dropped) >= len(src) - 1:
                 break
-            active[i] = False
-            x_warm[i] = 0.0
-            pinched.add(ids[i])
-            dropped.append(ids[i])
-            need -= lam_arr[i]
+            dropped.append(i)
+            need -= src.lam[i]
             if need <= 0.0:
                 break
+        pinched.update(src.sid(i) for i in dropped)
         logger.debug(
             "budget %.6g falls in the drop gap at utility %.6g; excluding %s",
             budget,
-            hi,
-            dropped,
+            u,
+            [src.sid(i) for i in dropped],
         )
+        src.drop(dropped)
+
+
+def _fold_leftover(
+    src: _Sources, omega: float, r: float, x: np.ndarray, cfg: SolverConfig
+) -> "tuple[float, np.ndarray] | None":
+    """Resolve a Newton bracket that collapsed inside a smooth segment.
+
+    That is a pure granularity shortfall: one ulp of omega moves the spend
+    by more than epsilon.  Fold the leftover into the steepest kept source
+    (the one dominating d(spend)/d(omega)); its interval shift is sub-ulp in
+    omega terms, so stationarity moves by far less than the inner tolerance.
+    Returns the new residual and x, or None when the leftover cannot be
+    folded anywhere: a tolerance below what the floating point residual
+    can resolve.
+    """
+    if len(x):
+        steep = src.steepness(x)
+        best = int(steep.argmax())
+        new_spend = src.mu[best] / x[best] - r
+        if steep[best] > 0.0 and new_spend > 0.0:
+            x_new = src.mu[best] / new_spend
+            if (
+                math.isfinite(x_new)
+                and abs(src.p[best] * g(x_new) - omega) <= cfg.inner_tolerance * omega
+            ):
+                polished = r - src.mu[best] / x[best] + src.mu[best] / x_new
+                if abs(polished) <= cfg.epsilon:
+                    x = x.copy()
+                    x[best] = x_new
+                    return polished, x
+    return None
 
 
 def closed_form_quality(

@@ -30,6 +30,23 @@ def random_instance(rng, max_n=50, budget_slack=(1.05, 3.0), dead_fraction=0.05)
     return params, budget
 
 
+def random_tied_instance(rng, max_n=8, max_kinds=3, budget_share=(0.2, 1.0)):
+    """A small instance whose sources share a few parameter sets, so
+    utilities tie, with the budget below the total link rate."""
+    kinds = [
+        SourceParams(
+            float(10.0 ** rng.uniform(-4.0, -2.0)),
+            float(10.0 ** rng.uniform(-2.0, 1.0)),
+            float(10.0 ** rng.uniform(-5.0, -3.0)),
+        )
+        for _ in range(int(rng.integers(1, max_kinds + 1)))
+    ]
+    n = int(rng.integers(1, max_n + 1))
+    params = {i: kinds[int(rng.integers(len(kinds)))] for i in range(n)}
+    budget = sum(sp.lambda_rate for sp in params.values()) * float(rng.uniform(*budget_share))
+    return params, budget
+
+
 def check_schedule(params, budget, sched: Schedule, eps=1e-6, kkt_rel=1e-6):
     """Assert budget residual, stationarity, and the infinite-interval rule."""
     finite = [(sid, iv) for sid, iv in sched.intervals.items() if math.isfinite(iv)]

@@ -1,8 +1,10 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the solver's own machinery: the grid search
-enumerates allocations on the budget simplex directly, and g_decimal
-evaluates g with 50-digit decimal arithmetic.
+enumerates allocations on the budget simplex directly, g_decimal
+evaluates g with 50-digit decimal arithmetic, and the crossing oracle
+scans every utility level with the scalar g_inverse instead of searching
+them with the vectorized inversion.
 """
 
 from decimal import Decimal, getcontext
@@ -10,6 +12,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 
 from echocrawl.core import SourceParams
+from echocrawl.optimizer import g_inverse
 
 
 def g_decimal(x: float) -> float:
@@ -55,3 +58,71 @@ def grid_search_quality(params: "list[SourceParams]", budget: float, points: int
         x3 = np.maximum(remaining - x1 - x2, 0.0)
         return float(_quality_terms(params, [x1, x2, x3]).max())
     raise ValueError(f"grid oracle supports n <= 3, got {n}")
+
+
+def crossing_oracle(params, budget, epsilon=1e-6, inner_tolerance=1e-9):
+    """Brute-force the finite-interval and pinched sets of solve_schedule.
+
+    Scans every distinct utility u of the sources still in play, lowest
+    first, for the first whose residual just above u (u's sources dropped)
+    is at most epsilon, each kept source's interval from the scalar
+    g_inverse.  Just below u the level's sources are kept in g's flat tail,
+    each costing its lambda plus at most mu / x_edge.  A budget between the
+    two is a drop gap: the level's sources absorb it at flat-tail intervals
+    if they can, else they are excluded largest lambda first (ties to the
+    lowest id) and the scan starts over.
+
+    Returns (finite ids, pinched ids), or None when the budget is infeasible.
+    """
+    live = {
+        sid: sp
+        for sid, sp in params.items()
+        if sp.lambda_rate > 0 and sp.profit > 0 and sp.utility > 1e-300
+    }
+    x_edge = g_inverse(1.0 - inner_tolerance, 5e-16)
+    pinched = set()
+
+    def residual_above(u):
+        total = -budget
+        for sp in live.values():
+            if sp.utility > u:
+                y = u / sp.utility
+                total += sp.decay / g_inverse(y, max(inner_tolerance * y, 5e-16))
+                total += sp.lambda_rate
+        return total
+
+    while True:
+        for u in sorted({sp.utility for sp in live.values()}):
+            above = residual_above(u)
+            if above <= epsilon:
+                break
+        kept = {sid for sid, sp in live.items() if sp.utility > u}
+        level = sorted(
+            sorted(sid for sid, sp in live.items() if sp.utility == u),
+            key=lambda sid: -live[sid].lambda_rate,
+        )
+        if above >= -epsilon and kept:  # one source must stay
+            return kept, pinched
+        below = above + sum(live[s].lambda_rate + live[s].decay / x_edge for s in level)
+        if below <= epsilon:  # the crossing is inside the segment below u
+            return kept | set(level), pinched
+
+        left = -above
+        absorbed = []
+        for s in level:
+            lam = live[s].lambda_rate
+            if lam < left:
+                left -= lam + min(live[s].decay / x_edge, left - lam)
+                absorbed.append(s)
+        if absorbed and abs(left) <= epsilon:
+            return kept | set(absorbed), pinched | (set(level) - set(absorbed))
+
+        if len(live) <= 1:
+            return None
+        need = below
+        for s in level[: len(live) - 1]:  # always keep one source
+            del live[s]
+            pinched.add(s)
+            need -= params[s].lambda_rate
+            if need <= 0.0:
+                break

@@ -3,13 +3,14 @@ with their exit codes and determinism guarantees."""
 
 import math
 
+import numpy as np
 import pytest
 import yaml
 
 from echocrawl import cli, fileio
 from echocrawl.core import CrawlPage, CrawlRecord, MetricConfig, RecrawlSource, SourceParams
 from echocrawl.discovery import HostSnapshot, LinkCorpus
-from echocrawl.optimizer import solve_schedule
+from echocrawl.optimizer import Schedule, solve_schedule
 from echocrawl.simulator import (
     MetricReport,
     ScenarioConfig,
@@ -132,6 +133,21 @@ class TestTableRoundTrips:
         assert intervals == schedule.intervals
         assert math.isinf(intervals[1])
         assert float(meta["omega"]) == schedule.omega
+
+    def test_numpy_floats_written_as_plain_numbers(self, tmp_path):
+        schedule = Schedule(
+            {0: np.float64(12.5), 1: math.inf},
+            omega=np.float64(0.25),
+            budget=0.1,
+            residual=np.float64(-1e-7),
+        )
+        path = tmp_path / "schedule.csv"
+        fileio.write_schedule(path, schedule, 1e-6)
+        assert "np." not in path.read_text()
+        intervals, meta = fileio.read_schedule(path)
+        assert intervals == {0: 12.5, 1: math.inf}
+        assert meta["omega"] == "0.25"
+        assert meta["residual"] == "-1e-07"
 
     def test_snapshots_and_corpus_round_trip(self, tmp_path):
         snaps = [

@@ -6,11 +6,13 @@ the budget simplex.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from echocrawl import fileio, optimizer
 from echocrawl.core import SourceParams
 from echocrawl.optimizer import (
     NoConvergenceError,
@@ -21,8 +23,27 @@ from echocrawl.optimizer import (
     g_inverse,
     solve_schedule,
 )
-from instances import check_schedule, random_instance
-from oracles import g_decimal, grid_search_quality
+from instances import check_schedule, random_instance, random_tied_instance
+from oracles import crossing_oracle, g_decimal, grid_search_quality
+
+# A solver input captured from a preset:main crawl (echo-schedule, seed 0,
+# simulated hour 32.5) whose solution ends in g's flat tail.
+FOUND1_PARAMS = Path(__file__).parent / "data" / "found1_params.csv"
+FOUND1_BUDGET = 0.003681
+
+
+def found1_params():
+    items, _ = fileio.read_params(FOUND1_PARAMS)
+    return dict(items)
+
+
+def preset_mix():
+    """30 sources of the bundled preset's classes (feed, news, blog, feed,
+    blog, blog, five times over): every utility is tied five or fifteen ways."""
+    feed = SourceParams(1 / 300, 0.02, 1 / 1800)
+    news = SourceParams(1 / 3600, 4.0, 1 / 3600)
+    blog = SourceParams(1 / 7200, 1.0, 1 / 14400)
+    return dict(enumerate([feed, news, blog, feed, blog, blog] * 5))
 
 
 class TestG:
@@ -80,6 +101,17 @@ class TestGInverse:
         for y in rng.uniform(0.0, 0.999999, 100):
             x = g_inverse(float(y), 1e-10)
             assert abs(g(x) - y) <= 1e-10
+
+    @pytest.mark.parametrize("start", [0.0, 0.01, 30.0])
+    def test_bulk_meets_tolerance_from_cold_and_stale_starts(self, start):
+        # y from deep in g's quadratic head to deep in its flat tail, checked
+        # with the scalar g; a zero start means a cold one.
+        head = 10.0 ** -np.linspace(1, 14, 30)
+        y = np.concatenate([head, 1.0 - 10.0 ** -np.linspace(1, 15, 30)])
+        tol = np.maximum(1e-9 * y, 5e-16)
+        x = optimizer._g_inverse_bulk(y, tol, np.full_like(y, start))
+        for xi, yi, ti in zip(x, y, tol):
+            assert abs(g(float(xi)) - yi) <= ti
 
     def test_domain_rejected(self):
         for y in [-0.1, 1.0, 1.5]:
@@ -178,6 +210,61 @@ class TestGapResolution:
         assert 0 < len(finite) < 30
         assert sched.pinched  # some sources had to be excluded
         check_schedule(params, budget, sched)
+
+
+class TestBreakpointSearch:
+    def test_matches_crossing_oracle_on_starved_tied_instances(self):
+        rng = np.random.default_rng(46)
+        returned = 0
+        for _ in range(300):
+            params, budget = random_tied_instance(rng)
+            expected = crossing_oracle(params, budget)
+            if expected is None:
+                with pytest.raises(ScheduleInfeasibleError):
+                    solve_schedule(params, budget)
+                continue
+            sched = solve_schedule(params, budget)
+            finite = {sid for sid, _ in sched.finite_items()}
+            assert (finite, set(sched.pinched)) == expected
+            check_schedule(params, budget, sched)
+            returned += 1
+        assert returned >= 200
+
+    def test_flat_tail_schedule_is_builtin_floats_and_round_trips(self, tmp_path):
+        params = found1_params()
+        sched = solve_schedule(params, FOUND1_BUDGET)
+        assert all(type(v) is float for v in sched.intervals.values())
+        assert type(sched.omega) is float
+        assert type(sched.residual) is float
+        check_schedule(params, FOUND1_BUDGET, sched)
+        path = tmp_path / "schedule.csv"
+        fileio.write_schedule(path, sched, 1e-6)
+        intervals, meta = fileio.read_schedule(path)
+        assert intervals == sched.intervals
+        assert float(meta["omega"]) == sched.omega
+
+    @pytest.mark.parametrize(
+        "params,budget,bisecting",
+        [
+            (found1_params(), FOUND1_BUDGET, 152),
+            (preset_mix(), 0.5 * sum(sp.lambda_rate for sp in preset_mix().values()), 65),
+        ],
+        ids=["found1", "starved-preset-mix"],
+    )
+    def test_evaluation_count(self, monkeypatch, params, budget, bisecting):
+        # bisecting: inner inversions a solver needed that found each drop
+        # gap by bisecting its bracket down to 8 ulp.
+        calls = []
+        inner = optimizer._g_inverse_bulk
+
+        def counting(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(optimizer, "_g_inverse_bulk", counting)
+        sched = solve_schedule(params, budget)
+        assert sched.pinched
+        assert len(calls) <= bisecting // 3
 
 
 class TestScheduleInvariants:
