@@ -219,11 +219,6 @@ def validate_trace(trace: CrawlTrace, slot_width: float | None = None) -> None:
                 )
 
 
-def sources_of(trace: CrawlTrace) -> "set[SourceId]":
-    """Distinct sources recrawled anywhere in the trace."""
-    return {rec.action.source for rec in trace if isinstance(rec.action, RecrawlSource)}
-
-
 def total_realized_profit(trace: Iterable[CrawlRecord]) -> float:
     return sum(
         rec.realized_profit for rec in trace if isinstance(rec.action, CrawlPage)

@@ -133,8 +133,20 @@ class CrawlHistoryWindow:
         object.__setattr__(self, "entries", items)
 
     def record(self, time: Seconds, new_links: int) -> "CrawlHistoryWindow":
-        """New window with (time, new_links) appended, oldest entry evicted."""
-        return CrawlHistoryWindow(self.capacity, (*self.entries, (time, new_links)))
+        """New window with (time, new_links) appended, oldest entry evicted.
+
+        The kept entries were validated when this window was built, so only
+        the new entry is checked, against the last one.
+        """
+        entry = (float(time), int(new_links))
+        if self.entries and entry[0] <= self.entries[-1][0]:
+            raise ValueError("crawl times must be strictly increasing")
+        if entry[1] < 0:
+            raise ValueError("link counts must be >= 0")
+        window = object.__new__(CrawlHistoryWindow)
+        object.__setattr__(window, "capacity", self.capacity)
+        object.__setattr__(window, "entries", (*self.entries[1 - self.capacity :], entry))
+        return window
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -374,9 +386,6 @@ class EstimatorState:
     def ensure_source(self, source: SourceId) -> None:
         """Make the source known so snapshots cover it before any feedback."""
         self._track(source)
-
-    def known_sources(self) -> "list[SourceId]":
-        return sorted(self._tracks)
 
     def register_page(self, page: PageId, source: SourceId, created: Seconds) -> None:
         """Associate a discovered page with its source and creation time."""

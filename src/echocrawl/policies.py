@@ -23,9 +23,14 @@ Policies:
 - frequency: echo-schedule on a schedule solved as if all sources had equal
   quality, so intervals depend on the new-page rates alone.
 
-Never-crawled sources count as infinitely overdue, so every policy begins by
-probing each source once.  All ties break toward the lowest id to keep runs
-reproducible.
+A never-crawled source has infinite elapsed time, so it is infinitely
+overdue on any finite interval.  All ties break toward the lowest id to
+keep runs reproducible.
+
+Per-source state (last-crawl times, value rates, schedule intervals) lives
+in numpy arrays indexed by a source's position in the sorted source list,
+so a decision is a few array operations rather than a Python loop over
+every source, and argmax's first maximum is the lowest id.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 from .core import CrawlPage, PageId, RecrawlSource, Seconds, SourceId, SourceParams
 from .estimators import DEFAULT_DECAY
@@ -110,16 +117,28 @@ class CrawlPolicy:
             raise ValueError("policy needs at least one source")
         self.schedule: Schedule | None = None
         self.frontier = Frontier()
-        self._last_crawl: "dict[SourceId, float]" = {}
+        self._pos = {source: i for i, source in enumerate(self.sources)}
+        # -inf for never crawled, so now - last is inf exactly there
+        self._last = np.full(len(self.sources), -np.inf)
         self._crawled_pages: "set[PageId]" = set()
 
     # -- feedback from the crawl loop -------------------------------------
 
     def set_schedule(self, schedule: Schedule) -> None:
+        self._check_known(schedule.intervals, "schedule")
+        finite = sorted(
+            (self._pos[source], interval)
+            for source, interval in schedule.intervals.items()
+            if math.isfinite(interval)
+        )
         self.schedule = schedule
+        # the sources on a finite interval, in position (= id) order
+        self._finite_pos = np.array([pos for pos, _ in finite], dtype=np.intp)
+        self._finite_interval = np.array([interval for _, interval in finite], dtype=float)
 
     def set_source_values(self, values: "Mapping[SourceId, float]") -> None:
         """Per-source value rates for value-driven policies; default: unused."""
+        self._check_known(values, "source values")
 
     def observe_page(self, page: PageId, source: SourceId, discovered: Seconds) -> None:
         """A recrawl surfaced a link to `page`."""
@@ -128,7 +147,7 @@ class CrawlPolicy:
         self.frontier.add(page, source, discovered)
 
     def observe_source_crawled(self, source: SourceId, time: Seconds) -> None:
-        self._last_crawl[source] = time
+        self._last[self._pos[source]] = time
 
     def observe_page_crawled(self, page: PageId, time: Seconds) -> None:
         self.frontier.remove(page)
@@ -136,10 +155,10 @@ class CrawlPolicy:
 
     # -- decision helpers ---------------------------------------------------
 
-    def elapsed_since_crawl(self, source: SourceId, now: Seconds) -> float:
-        """I' of the source: time since its last recrawl, inf if never."""
-        last = self._last_crawl.get(source)
-        return math.inf if last is None else now - last
+    def _check_known(self, sources: Iterable[SourceId], what: str) -> None:
+        unknown = sorted(source for source in sources if source not in self._pos)
+        if unknown:
+            raise ValueError(f"{what}: sources {unknown} are not among this policy's sources")
 
     def _require_schedule(self) -> Schedule:
         if self.schedule is None:
@@ -148,19 +167,20 @@ class CrawlPolicy:
 
     def _most_behind_source(self, now: Seconds, due_only: bool) -> SourceId | None:
         """Source with the highest elapsed/interval ratio, skipping infinite
-        intervals; due_only restricts to ratios >= 1."""
-        best: SourceId | None = None
-        best_key: "tuple[float, int] | None" = None
-        for source, interval in self._require_schedule().intervals.items():
-            if not math.isfinite(interval):
-                continue
-            elapsed = self.elapsed_since_crawl(source, now)
-            if due_only and elapsed < interval:
-                continue
-            key = (elapsed / interval, -source)
-            if best_key is None or key > best_key:
-                best, best_key = source, key
-        return best
+        intervals; due_only restricts to sources with elapsed >= interval."""
+        self._require_schedule()
+        if not self._finite_pos.size:
+            return None
+        interval = self._finite_interval
+        elapsed = now - self._last[self._finite_pos]
+        ratio = elapsed / interval
+        best = int(ratio.argmax())
+        if due_only and not elapsed[best] >= interval[best]:
+            # Division rounds correctly, so elapsed < interval gives a ratio
+            # below 1 and elapsed >= interval one of at least 1: when the
+            # top source is not due, no source is.
+            return None
+        return self.sources[self._finite_pos[best]]
 
     def _newest_page(self) -> PageId | None:
         entry = self.frontier.peek_newest()
@@ -215,34 +235,41 @@ class EchoGreedyPolicy(CrawlPolicy):
 
     value_rate is the estimated new-page rate times the source's average
     observed clicks per page, refreshed by the crawl loop on every logs
-    push.  Never-crawled sources (infinite elapsed) outrank everything, so
-    each source is probed once even while all value rates are still zero.
+    push.  A zero value rate scores 0 whatever the elapsed time, so a
+    never-crawled source outranks every crawled one only once its value
+    rate is positive; until then it waits behind every source with a
+    positive score.  Ties on score go to the longest elapsed time, so
+    while all value rates are zero, never-crawled sources come first.
     """
 
     def __init__(self, sources: Iterable[SourceId]):
         super().__init__(sources)
-        self._value_rate: "dict[SourceId, float]" = {s: 0.0 for s in self.sources}
+        self._rate = np.zeros(len(self.sources))
+        self._valued = np.zeros(len(self.sources), dtype=bool)
+        self._score = np.zeros(len(self.sources))
 
     def set_source_values(self, values: "Mapping[SourceId, float]") -> None:
+        super().set_source_values(values)
+        for rate in values.values():
+            if not 0.0 <= rate < math.inf:
+                raise ValueError(f"value rate must be finite and >= 0, got {rate}")
         for source, rate in values.items():
-            if rate < 0:
-                raise ValueError(f"value rate must be >= 0, got {rate}")
-            self._value_rate[source] = float(rate)
+            self._rate[self._pos[source]] = rate
+        self._valued = self._rate > 0.0
+        # scores stay 0 where the rate is 0 (never written): no 0 * inf
+        self._score = np.zeros(len(self.sources))
 
     def decide(self, now: Seconds, slot_index: int = 0) -> PolicyDecision:
         page = self._newest_page()
         if page is not None:
             return CrawlPage(page)
-        best: SourceId | None = None
-        best_key = None
-        for source in self.sources:
-            rate = self._value_rate.get(source, 0.0)
-            elapsed = self.elapsed_since_crawl(source, now)
-            score = 0.0 if rate == 0.0 else rate * elapsed
-            key = (score, elapsed, -source)
-            if best_key is None or key > best_key:
-                best, best_key = source, key
-        return RecrawlSource(best) if best is not None else Idle()
+        elapsed = now - self._last
+        score = np.multiply(self._rate, elapsed, out=self._score, where=self._valued)
+        best = int(score.argmax())
+        tied = (score == score[best]).nonzero()[0]
+        if tied.size > 1:
+            best = int(tied[elapsed[tied].argmax()])
+        return RecrawlSource(self.sources[best])
 
 
 class BfsPolicy(CrawlPolicy):

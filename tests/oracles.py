@@ -4,9 +4,12 @@ These deliberately avoid the solver's own machinery: the grid search
 enumerates allocations on the budget simplex directly, g_decimal
 evaluates g with 50-digit decimal arithmetic, and the crossing oracle
 scans every utility level with the scalar g_inverse instead of searching
-them with the vectorized inversion.
+them with the vectorized inversion.  The decision oracles rank every source
+in a Python loop by the policies' tie-break keys, over plain dicts, where
+the policies use arrays.
 """
 
+import math
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -126,3 +129,40 @@ def crossing_oracle(params, budget, epsilon=1e-6, inner_tolerance=1e-9):
             need -= params[s].lambda_rate
             if need <= 0.0:
                 break
+
+
+def elapsed_oracle(source, now, last_crawl):
+    """Time since the source's last recrawl, inf if it was never crawled."""
+    last = last_crawl.get(source)
+    return math.inf if last is None else now - last
+
+
+def greedy_key(source, now, last_crawl, value_rates):
+    """echo-greedy's ranking key (score, elapsed, -source), highest wins; a
+    zero value rate scores 0 whatever the elapsed time."""
+    rate = value_rates.get(source, 0.0)
+    elapsed = elapsed_oracle(source, now, last_crawl)
+    score = 0.0 if rate == 0.0 else rate * elapsed
+    return (score, elapsed, -source)
+
+
+def greedy_oracle(sources, now, last_crawl, value_rates):
+    """The source echo-greedy recrawls when its frontier is empty."""
+    return max(sources, key=lambda s: greedy_key(s, now, last_crawl, value_rates))
+
+
+def most_behind_oracle(intervals, now, last_crawl, due_only):
+    """Source with the highest elapsed/interval ratio, ties to the lowest id,
+    skipping infinite intervals; due_only keeps elapsed >= interval only.
+    None when no source qualifies."""
+    best, best_key = None, None
+    for source, interval in intervals.items():
+        if not math.isfinite(interval):
+            continue
+        elapsed = elapsed_oracle(source, now, last_crawl)
+        if due_only and elapsed < interval:
+            continue
+        key = (elapsed / interval, -source)
+        if best_key is None or key > best_key:
+            best, best_key = source, key
+    return best

@@ -231,6 +231,25 @@ class TestCrawlHistoryWindow:
         with pytest.raises(ValueError):
             CrawlHistoryWindow(1)
 
+    def test_record_rejects_negative_links(self):
+        with pytest.raises(ValueError):
+            CrawlHistoryWindow(3, [(0.0, 1)]).record(1.0, -1)
+
+    @given(
+        capacity=st.integers(2, 8),
+        steps=st.lists(st.tuples(st.floats(1e-3, 1e4), st.integers(0, 50)), max_size=20),
+    )
+    def test_record_equals_construction(self, capacity, steps):
+        entries, t = [], 0.0
+        window = CrawlHistoryWindow(capacity)
+        for gap, links in steps:
+            t += gap
+            entries.append((t, links))
+            window = window.record(t, links)
+        built = CrawlHistoryWindow(capacity, entries)
+        assert window == built
+        assert (window.capacity, window.entries) == (built.capacity, built.entries)
+
 
 class TestEstimatorState:
     def test_hand_binning(self):

@@ -20,6 +20,8 @@ from echocrawl.policies import (
     make_policy,
 )
 
+pytestmark = pytest.mark.filterwarnings("error")
+
 
 def fixed_schedule(intervals):
     """Schedule stub with the given {source: interval} map."""
@@ -108,6 +110,14 @@ class TestEchoSchedule:
         with pytest.raises(ValueError):
             EchoSchedulePolicy([0]).decide(0.0)
 
+    @pytest.mark.parametrize("interval", [3.0, 1024.0, 86400.0 / 7])
+    def test_one_ulp_short_is_not_due(self, interval):
+        policy = EchoSchedulePolicy([0])
+        policy.set_schedule(fixed_schedule({0: interval}))
+        crawled(policy, 0, 0.0)
+        assert policy.decide(math.nextafter(interval, 0.0)) == Idle()
+        assert policy.decide(interval) == RecrawlSource(0)
+
 
 class TestEchoNewPages:
     def test_pages_first_even_when_overdue(self):
@@ -149,8 +159,9 @@ class TestEchoGreedy:
         assert policy.decide(10.0) == RecrawlSource(1)
 
     def test_never_crawled_probed_first(self):
-        # with every value rate positive (the defaults guarantee this), a
-        # never-crawled source scores infinitely and is probed first
+        # with every value rate positive, a never-crawled source scores
+        # infinitely and is probed first; a zero rate would leave it behind
+        # every positive score (next test)
         policy = EchoGreedyPolicy([3, 1, 2])
         policy.set_source_values({1: 5.0, 2: 0.001, 3: 0.001})
         crawled(policy, 1, 0.0)
@@ -182,6 +193,13 @@ class TestEchoGreedy:
         policy = EchoGreedyPolicy([0])
         with pytest.raises(ValueError):
             policy.set_source_values({0: -1.0})
+
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_rejects_non_finite_value(self, rate):
+        # inf * 0 elapsed and nan would put NaN in the score argmax
+        policy = EchoGreedyPolicy([0])
+        with pytest.raises(ValueError):
+            policy.set_source_values({0: rate})
 
 
 class TestBfs:
@@ -287,6 +305,32 @@ class TestFrequency:
             policy.observe_page(9, source=0, discovered=3.0)
         for t in (5.0, 12.0, 25.0):
             assert frequency.decide(t) == echo.decide(t)
+
+
+class TestUnknownSources:
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_schedule_with_unknown_source_rejected(self, name):
+        policy = make_policy(name, [0, 1])
+        kept = fixed_schedule({0: 10.0})
+        policy.set_schedule(kept)
+        with pytest.raises(ValueError, match=r"\[7\]"):
+            policy.set_schedule(fixed_schedule({0: 5.0, 7: 10.0}))
+        assert policy.schedule is kept
+
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_values_with_unknown_source_rejected(self, name):
+        policy = make_policy(name, [0, 1])
+        with pytest.raises(ValueError, match=r"\[5, 9\]"):
+            policy.set_source_values({9: 1.0, 0: 0.5, 5: 2.0})
+
+    def test_rejected_values_leave_rates_unchanged(self):
+        policy = EchoGreedyPolicy([0, 1])
+        policy.set_source_values({0: 1.0, 1: 2.0})
+        with pytest.raises(ValueError):
+            policy.set_source_values({0: 5.0, 3: 1.0})
+        crawled(policy, 0, 0.0)
+        crawled(policy, 1, 0.0)
+        assert policy.decide(1.0) == RecrawlSource(1)
 
 
 class TestRegistry:
