@@ -32,11 +32,8 @@ from .discovery import (
 from .estimators import (
     ClickHistogram,
     EstimatorState,
-    FitConfig,
-    FitDivergenceError,
     estimate_lambda,
     fit_profit_curve,
-    suggest_fit_config,
 )
 from .fileio import (
     ConfigError,
@@ -85,11 +82,8 @@ __all__ = [
     "greedy_source_cover",
     "ClickHistogram",
     "EstimatorState",
-    "FitConfig",
-    "FitDivergenceError",
     "estimate_lambda",
     "fit_profit_curve",
-    "suggest_fit_config",
     "ConfigError",
     "ExperimentConfig",
     "FileFormatError",

@@ -32,7 +32,7 @@ from pathlib import Path
 import yaml
 
 from .discovery import DEFAULT_MIN_SOURCE_AGE, find_content_sources, greedy_source_cover
-from .estimators import EstimatorState, FitDivergenceError, fit_profit_curve, suggest_fit_config
+from .estimators import EstimatorState, fit_profit_curve
 from .optimizer import (
     NoConvergenceError,
     ScheduleInfeasibleError,
@@ -210,8 +210,6 @@ def _fit_settings(node: "dict") -> "dict":
     known = {
         "bin_size",
         "max_click_age",
-        "precision",
-        "max_iterations",
         "default_profit",
         "default_decay",
         "default_lambda",
@@ -235,8 +233,6 @@ def cmd_fit(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(f"fit: {exc}") from None
-    precision = float(settings.get("precision", 1e-8))
-    max_iterations = int(settings.get("max_iterations", 20_000))
 
     created_by_source: "dict[int, list[float]]" = {}
     for pid in sorted(log.pages):
@@ -247,7 +243,6 @@ def cmd_fit(args) -> int:
     state.push_logs(log.clicks, t_push)
 
     rows = []
-    diverged = 0
     for sid in log.sources:
         creations = sorted(created_by_source[sid])
         span = creations[-1] - creations[0]
@@ -257,20 +252,13 @@ def cmd_fit(args) -> int:
             lam = state.default_lambda
         hist = state.histogram(sid)
         clicks = hist.cumulative[-1] if hist.cumulative else 0
-        fitted = False
+        fitted = hist.page_count > 0 and clicks > 0 and len(hist.cumulative) >= 2
         profit, decay = state.default_profit, state.default_decay
-        if hist.page_count > 0 and clicks > 0 and len(hist.cumulative) >= 2:
-            try:
-                curve = fit_profit_curve(
-                    hist,
-                    suggest_fit_config(
-                        hist, precision=precision, max_iterations=max_iterations
-                    ),
-                )
-                profit, decay, fitted = curve.profit, curve.decay, True
-            except FitDivergenceError:
-                diverged += 1
-                logger.warning("fit diverged for source %d; keeping defaults", sid)
+        if fitted:
+            # the plain least-squares fit, without the online estimator's
+            # decay floor
+            curve = fit_profit_curve(hist)
+            profit, decay = curve.profit, curve.decay
         rows.append(
             fileio.ParamsRow(
                 source_id=sid,
@@ -288,8 +276,7 @@ def cmd_fit(args) -> int:
     _say(
         args,
         f"wrote {params_path}: {len(rows)} sources, {n_fitted} fitted, "
-        f"{len(rows) - n_fitted} on defaults"
-        + (f", {diverged} diverged" if diverged else ""),
+        f"{len(rows) - n_fitted} on defaults",
     )
     if not rows:
         logger.warning("click log %s holds no pages; wrote an empty params file", args.clicklog)

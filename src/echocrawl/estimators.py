@@ -2,8 +2,10 @@
 
 Three per-source quantities feed the interval solver:
 
-- (P, mu): the profit curve P(1 - exp(-mu * age)), fitted to a click
-  histogram by plain gradient descent on the squared residuals,
+- (P, mu): the profit curve P(1 - exp(-mu * age)), least-squares fitted to
+  a click histogram by variable projection: the best P for a given mu is
+  closed form, so the fit is an exact one-dimensional search over mu
+  (fit_profit_curve),
 - lambda: the new-page rate, estimated from the link counts of the most
   recent recrawls of the source.
 
@@ -16,7 +18,6 @@ occasional probe crawls.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -24,8 +25,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import PageId, ProfitCurve, Seconds, SourceId, SourceParams
-
-logger = logging.getLogger(__name__)
 
 # Fallbacks for sources with no click or crawl feedback yet: a small
 # non-zero profit, one-day decay and one new link per hour keep unknown
@@ -37,9 +36,8 @@ DEFAULT_LAMBDA = 1.0 / 3600.0
 # Clicks older than this never enter a histogram.
 DEFAULT_MAX_CLICK_AGE = 14 * 86400.0
 
-# Lower bound for the decay iterate in bin-size units; keeps the model
-# differentiable (mu = 0 would zero every gradient through the curve).
-_DECAY_FLOOR = 1e-12
+# Interior-point ratio of the golden-section search.
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -77,38 +75,6 @@ class ClickHistogram:
         if self.page_count <= 0:
             raise ValueError("targets need page_count > 0")
         return [v / self.page_count for v in self.cumulative]
-
-
-@dataclass(frozen=True, slots=True)
-class FitConfig:
-    """Gradient-descent settings for the profit-curve fit.
-
-    step_size applies to the normalized problem (time in bin-size units,
-    clicks in units of the histogram's largest per-page average), where the
-    loss surface is well conditioned regardless of the raw units; precision
-    bounds the normalized parameter step at which iteration stops.
-    """
-
-    step_size: float = 1e-3
-    precision: float = 1e-8
-    initial_profit: float = 1.0
-    initial_decay: float = 1e-4
-    max_iterations: int = 20_000
-    divergence_patience: int = 8
-
-    def __post_init__(self) -> None:
-        if self.step_size <= 0:
-            raise ValueError("step_size must be > 0")
-        if self.precision <= 0:
-            raise ValueError("precision must be > 0")
-        if self.initial_profit <= 0:
-            raise ValueError("initial_profit must be > 0")
-        if self.initial_decay <= 0:
-            raise ValueError("initial_decay must be > 0")
-        if self.max_iterations <= 0:
-            raise ValueError("max_iterations must be > 0")
-        if self.divergence_patience <= 0:
-            raise ValueError("divergence_patience must be > 0")
 
 
 @dataclass(frozen=True)
@@ -152,34 +118,6 @@ class CrawlHistoryWindow:
         return len(self.entries)
 
 
-class FitDivergenceError(RuntimeError):
-    """The fit objective kept increasing; carries the last iterate."""
-
-    def __init__(self, message: str, curve: ProfitCurve, objective: float):
-        super().__init__(f"{message} (last objective {objective:.6g})")
-        self.curve = curve
-        self.objective = objective
-
-
-def _objective_terms(
-    ages: np.ndarray, targets: np.ndarray, profit: float, decay: float
-) -> "tuple[float, float, float]":
-    """Squared-residual loss and its gradients for the curve P(1-e^(-mu*a)).
-
-    ages holds the bin right edges (i * D), targets the per-page cumulative
-    click averages at those ages.  Defined for any real (profit, decay) so a
-    diverging descent can be observed rather than masked.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = np.exp(-decay * ages)
-        model = 1.0 - e
-        err = profit * model - targets
-        value = float(err @ err)
-        d_profit = 2.0 * float(err @ model)
-        d_decay = 2.0 * profit * float(err @ (ages * e))
-    return value, d_profit, d_decay
-
-
 def fit_objective(
     hist: ClickHistogram, profit: float, decay: float
 ) -> "tuple[float, float, float]":
@@ -193,112 +131,81 @@ def fit_objective(
     if len(y) < 2:
         raise ValueError("fit needs at least 2 histogram bins")
     ages = hist.bin_size * np.arange(1, len(y), dtype=float)
-    return _objective_terms(ages, np.asarray(y[1:]), profit, decay)
-
-
-def suggest_fit_config(
-    hist: ClickHistogram,
-    precision: float = 1e-8,
-    max_iterations: int = 20_000,
-    initial_profit: float | None = None,
-    initial_decay: float | None = None,
-) -> FitConfig:
-    """FitConfig with data-driven initial values and a stable step size.
-
-    The initial profit is the histogram's saturation level and the initial
-    decay puts the curve's knee mid-histogram.  The step size is the inverse
-    of the loss curvature at that starting point, so the first descent steps
-    cannot overshoot even on badly scaled data.
-    """
-    y = hist.targets()
-    if len(y) < 2:
-        raise ValueError("fit needs at least 2 histogram bins")
-    bins = len(y) - 1
-    scale = max(max(y), 1e-300)
-    p0 = initial_profit if initial_profit is not None else max(y) or scale
-    m0 = initial_decay if initial_decay is not None else 2.0 / (bins * hist.bin_size)
-
-    # Curvature of the normalized loss at the start: the diagonal of the
-    # Gauss-Newton Hessian, 2*sum(model_i^2) + 2*sum((i * P * e^-mu*i)^2).
-    i_arr = np.arange(1, bins + 1, dtype=float)
-    e = np.exp(-(m0 * hist.bin_size) * i_arr)
-    c_profit = 2.0 * float(np.sum((1.0 - e) ** 2))
-    c_decay = 2.0 * float(np.sum((i_arr * (p0 / scale) * e) ** 2))
-    step = min(1.0 / max(c_profit + c_decay, 1e-12), 0.25)
-    return FitConfig(
-        step_size=step,
-        precision=precision,
-        initial_profit=max(p0, 1e-300),
-        initial_decay=max(m0, _DECAY_FLOOR / hist.bin_size),
-        max_iterations=max_iterations,
-    )
+    model = -np.expm1(-decay * ages)
+    err = profit * model - np.asarray(y[1:])
+    value = float(err @ err)
+    d_profit = 2.0 * float(err @ model)
+    d_decay = 2.0 * profit * float(err @ (ages * np.exp(-decay * ages)))
+    return value, d_profit, d_decay
 
 
 def fit_profit_curve(
     hist: ClickHistogram,
-    config: FitConfig | None = None,
+    min_decay: float | None = None,
     trace: "list[float] | None" = None,
 ) -> ProfitCurve:
-    """Fit P(1 - exp(-mu * age)) to a click histogram by gradient descent.
+    """Least-squares fit of P(1 - exp(-mu * age)) to a click histogram.
 
-    Internally the problem is normalized (ages in bin-size units, targets in
-    units of their maximum) so one step size suits any data scale; the
-    returned curve is in raw units, with profit clamped to >= 0 and decay
-    kept strictly positive.  Raises FitDivergenceError, carrying the last
-    iterate, if the objective rises for divergence_patience consecutive
-    steps.  When trace is given, the raw-unit objective of every visited
-    iterate is appended to it.
+    For a fixed mu the model is linear in P, so the best profit is closed
+    form, P(mu) = max(0, m.y / m.m) with m_i = 1 - exp(-mu i D), and only
+    mu is searched (variable projection).  The search runs over
+    log10(mu D) on a 0.1-decade grid from max(1e-12, min_decay D) up to
+    mu D = 40 (past ~37, 1 - exp(-mu i D) is exactly 1.0 at every bin, so
+    larger decays all give the same curve), then refines the best grid
+    point's bracket by golden-section search to a width of 1e-12 decades.
+    The returned curve is the best one evaluated; its decay is never below
+    min_decay.  When trace is given, the objective F (raw units) of every
+    evaluation is appended to it.
+
+    min_decay bounds the curve's time constant 1/mu.  A time constant
+    longer than the histogram's span is not identified by the histogram:
+    on its bins such a curve is a straight line, in which only P mu is
+    fixed, so sparse histograms whose clicks fall late can push P without
+    bound.  The online estimator therefore passes 1 / (span of the
+    histogram); the CLI passes None and writes the plain least-squares fit.
     """
     if hist.page_count <= 0:
         raise ValueError("fit needs page_count > 0")
-    y = hist.targets()
-    if len(y) < 2:
+    if min_decay is not None and not 0.0 <= min_decay < math.inf:
+        raise ValueError(f"min_decay must be finite and >= 0, got {min_decay}")
+    y = np.asarray(hist.targets()[1:])
+    if len(y) < 1:
         raise ValueError("fit needs at least 2 histogram bins")
-    cfg = config or suggest_fit_config(hist)
+    ages = hist.bin_size * np.arange(1, len(y) + 1, dtype=float)
+    floor = max(1e-12 / hist.bin_size, min_decay or 0.0)
+    best = [math.inf, 0.0, floor]  # F, P, mu of the best evaluation so far
 
-    scale = max(max(y), 1e-300)
-    i_arr = np.arange(1, len(y), dtype=float)
-    targets = np.asarray(y[1:]) / scale
-    p_hat = cfg.initial_profit / scale
-    m_hat = max(cfg.initial_decay * hist.bin_size, _DECAY_FLOOR)
-
-    def clamped(p: float, m: float) -> ProfitCurve:
-        return ProfitCurve(
-            max(p * scale, 0.0), max(m, _DECAY_FLOOR) / hist.bin_size
-        )
-
-    raw_factor = scale * scale  # F_raw = scale^2 * F_normalized
-    last_value = math.inf
-    rising = 0
-    for _ in range(cfg.max_iterations):
-        value, d_profit, d_decay = _objective_terms(i_arr, targets, p_hat, m_hat)
-        if not math.isfinite(value):
-            raise FitDivergenceError(
-                "objective overflowed", clamped(p_hat, m_hat), value
-            )
+    def evaluate(log_x: np.ndarray) -> np.ndarray:
+        """F at P(mu) for each mu = 10^log_x / D (one row per mu)."""
+        decay = np.maximum(10.0**log_x / hist.bin_size, floor)
+        model = -np.expm1(-decay[:, None] * ages)
+        profit = np.maximum(model @ y / np.einsum("ij,ij->i", model, model), 0.0)
+        err = profit[:, None] * model - y
+        value = np.einsum("ij,ij->i", err, err)
+        k = int(np.argmin(value))
+        if value[k] < best[0]:
+            best[:] = value[k], profit[k], decay[k]
         if trace is not None:
-            trace.append(value * raw_factor)
-        if value > last_value:
-            rising += 1
-            if rising >= cfg.divergence_patience:
-                raise FitDivergenceError(
-                    f"objective rose for {rising} consecutive steps",
-                    clamped(p_hat, m_hat),
-                    value * raw_factor,
-                )
-        else:
-            rising = 0
-        last_value = value
+            trace.extend(value.tolist())
+        return value
 
-        # Plain descent steps: the iterates roam freely, only the returned
-        # curve is clamped to the model's valid domain.
-        new_p = p_hat - cfg.step_size * d_profit
-        new_m = m_hat - cfg.step_size * d_decay
-        done = max(abs(new_p - p_hat), abs(new_m - m_hat)) <= cfg.precision
-        p_hat, m_hat = new_p, new_m
-        if done:
-            break
-    return clamped(p_hat, m_hat)
+    low, high = math.log10(floor * hist.bin_size), math.log10(40.0)
+    grid = np.append(np.arange(low, high, 0.1), max(low, high))
+    k = int(np.argmin(evaluate(grid)))
+    # golden-section search between the best grid point's neighbours
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = evaluate(np.array([c, d]))
+    while b - a > 1e-12:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = evaluate(np.array([c]))[0]
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = evaluate(np.array([d]))[0]
+    return ProfitCurve(float(best[1]), float(best[2]))
 
 
 def estimate_lambda(
@@ -353,8 +260,6 @@ class EstimatorState:
         default_profit: float = DEFAULT_PROFIT,
         default_decay: float = DEFAULT_DECAY,
         default_lambda: float = DEFAULT_LAMBDA,
-        fit_precision: float = 1e-6,
-        fit_max_iterations: int = 4000,
         refit_growth: float = 0.10,
         refit_min_clicks: int = 40,
     ):
@@ -368,8 +273,6 @@ class EstimatorState:
         self.default_profit = float(default_profit)
         self.default_decay = float(default_decay)
         self.default_lambda = float(default_lambda)
-        self.fit_precision = float(fit_precision)
-        self.fit_max_iterations = int(fit_max_iterations)
         self.refit_growth = float(refit_growth)
         self.refit_min_clicks = int(refit_min_clicks)
         self.unknown_clicks = 0
@@ -501,20 +404,9 @@ class EstimatorState:
         if track.fitted is not None and grown < threshold:
             return track.fitted
         hist = self.histogram(source)
-        warm = track.fitted
-        config = suggest_fit_config(
-            hist,
-            precision=self.fit_precision,
-            max_iterations=self.fit_max_iterations,
-            # warm start from the previous fit when it is a usable init
-            initial_profit=warm.profit if warm and warm.profit > 0 else None,
-            initial_decay=warm.decay if warm else None,
-        )
-        try:
-            curve = fit_profit_curve(hist, config)
-        except FitDivergenceError as err:
-            logger.warning("fit diverged for source %s: %s", source, err)
-            curve = err.curve
+        # the time constant may not exceed the histogram's span (positional:
+        # wrappers of fit_profit_curve pass the second argument through)
+        curve = fit_profit_curve(hist, 1.0 / (hist.bin_size * (len(hist.cumulative) - 1)))
         track.fitted = curve
         track.clicks_at_fit = track.total_clicks
         return curve

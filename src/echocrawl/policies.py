@@ -110,6 +110,8 @@ class CrawlPolicy:
 
     #: whether the crawl loop must keep this policy supplied with schedules
     uses_schedule = False
+    #: whether the crawl loop must keep this policy supplied with value rates
+    uses_values = False
 
     def __init__(self, sources: Iterable[SourceId]):
         self.sources = sorted(sources)
@@ -241,6 +243,8 @@ class EchoGreedyPolicy(CrawlPolicy):
     positive score.  Ties on score go to the longest elapsed time, so
     while all value rates are zero, never-crawled sources come first.
     """
+
+    uses_values = True
 
     def __init__(self, sources: Iterable[SourceId]):
         super().__init__(sources)

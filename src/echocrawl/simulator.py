@@ -428,7 +428,8 @@ def run(
                 t_click, pid = heapq.heappop(pending_clicks)
                 batch.append((pid, t_click))
             estimator.push_logs(batch, next_push)
-            policy.set_source_values(estimator.value_rates(next_push))
+            if policy.uses_values:
+                policy.set_source_values(estimator.value_rates(next_push))
             next_push += cfg.logs_push_period
 
     def refresh_due_schedule(now: Seconds) -> None:

@@ -6,7 +6,8 @@ evaluates g with 50-digit decimal arithmetic, and the crossing oracle
 scans every utility level with the scalar g_inverse instead of searching
 them with the vectorized inversion.  The decision oracles rank every source
 in a Python loop by the policies' tie-break keys, over plain dicts, where
-the policies use arrays.
+the policies use arrays.  The curve-fit oracle scans a dense fixed set of
+decays where the fit searches adaptively.
 """
 
 import math
@@ -166,3 +167,21 @@ def most_behind_oracle(intervals, now, last_crawl, due_only):
         if best_key is None or key > best_key:
             best, best_key = source, key
     return best
+
+
+def dense_fit_oracle(targets, bin_size, min_decay=None, points=10_000):
+    """Least-squares (P, mu, F) of P(1 - e^(-mu a)) by brute force: 10^4
+    log-spaced decays with mu D from max(1e-12, min_decay D) to 40, each
+    with its closed-form best profit max(0, m.y / m.m)."""
+    y = np.asarray(targets[1:], dtype=float)
+    ages = bin_size * np.arange(1, len(targets), dtype=float)
+    low = max(1e-12 / bin_size, min_decay or 0.0)
+    best = (math.inf, 0.0, low)
+    for decay in np.geomspace(low, max(40.0 / bin_size, low), points):
+        model = -np.expm1(-decay * ages)
+        profit = max(0.0, float(model @ y) / float(model @ model))
+        err = profit * model - y
+        value = float(err @ err)
+        if value < best[0]:
+            best = (value, profit, float(decay))
+    return best[1], best[2], best[0]

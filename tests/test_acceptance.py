@@ -133,11 +133,7 @@ def test_criterion_3_fit_recovery_and_gradient():
 
     hits = 0
     for profit, decay in cases:
-        hist = _model_histogram(profit, decay, rng=rng)
-        try:
-            curve = fit_profit_curve(hist)
-        except Exception:
-            continue
+        curve = fit_profit_curve(_model_histogram(profit, decay, rng=rng))
         if (
             abs(curve.profit - profit) / profit <= 0.10
             and abs(curve.decay - decay) / decay <= 0.15

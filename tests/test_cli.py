@@ -10,6 +10,7 @@ import yaml
 from echocrawl import cli, fileio
 from echocrawl.core import CrawlPage, CrawlRecord, MetricConfig, RecrawlSource, SourceParams
 from echocrawl.discovery import HostSnapshot, LinkCorpus
+from echocrawl.estimators import EstimatorState, fit_profit_curve
 from echocrawl.optimizer import Schedule, solve_schedule
 from echocrawl.simulator import (
     MetricReport,
@@ -609,6 +610,29 @@ class TestFitAndScheduleCommands:
         # epsilon / (budget - lambda)
         assert intervals[0] == pytest.approx(1.0 / (budget - 0.001), rel=5e-4)
         assert abs(1.0 / intervals[0] + 0.001 - budget) <= 1e-6
+
+    def test_fit_rows_are_the_unbounded_fit(self, clicklog, tmp_path):
+        # one fit path: each fitted row is fit_profit_curve on the source's
+        # histogram, with no decay floor
+        assert cli.main(["fit", str(clicklog), "--out", str(tmp_path), "--quiet"]) == 0
+        items, _ = fileio.read_params(tmp_path / "params.csv")
+        log = fileio.read_click_log(clicklog)
+        state = EstimatorState()
+        for pid in sorted(log.pages):
+            state.register_page(pid, *log.pages[pid])
+        state.push_logs(log.clicks, max(t for _, t in log.clicks))
+        for sid, params in items:
+            curve = fit_profit_curve(state.histogram(sid))
+            assert (params.profit, params.decay) == (curve.profit, curve.decay)
+
+    @pytest.mark.parametrize("key", ["precision", "max_iterations"])
+    def test_fit_rejects_unknown_keys(self, clicklog, tmp_path, key):
+        config = tmp_path / "fit.yaml"
+        config.write_text(f"fit: {{{key}: 1.0e-8}}\n")
+        args = ["fit", str(clicklog), "--config", str(config), "--out", str(tmp_path), "--quiet"]
+        assert cli.main(args) == cli.EXIT_CONFIG
+        config.write_text("fit: {bin_size: 600.0}\n")
+        assert cli.main(args) == 0
 
     def test_pages_without_clicks_fit_defaults_with_flag(self, tmp_path):
         path = tmp_path / "quiet.csv"

@@ -1,11 +1,12 @@
-"""Estimator tests: curve fitting against closed-form and finite-difference
-oracles, new-link rate arithmetic, and click-log ingestion."""
+"""Estimator tests: curve fitting against closed-form, dense-scan and
+finite-difference oracles, new-link rate arithmetic, and click-log
+ingestion."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from echocrawl.estimators import (
     DEFAULT_DECAY,
@@ -14,13 +15,14 @@ from echocrawl.estimators import (
     ClickHistogram,
     CrawlHistoryWindow,
     EstimatorState,
-    FitConfig,
-    FitDivergenceError,
     estimate_lambda,
     fit_objective,
     fit_profit_curve,
-    suggest_fit_config,
 )
+from oracles import dense_fit_oracle
+
+# an overflow or 0/0 anywhere in the fit's search fails the test
+pytestmark = pytest.mark.filterwarnings("error")
 
 
 def model_histogram(profit, decay, bin_size, bins, page_count=1):
@@ -97,17 +99,21 @@ class TestFitObjective:
             fit_objective(ClickHistogram(10.0, [0.0], 1), 1.0, 1.0)
 
 
+def span_floor(hist):
+    """The online estimator's decay floor: 1 / (the histogram's span)."""
+    return 1.0 / (hist.bin_size * (len(hist.cumulative) - 1))
+
+
 class TestFitProfitCurve:
     def test_noiseless_recovery(self):
         hist = model_histogram(profit=5.0, decay=0.002, bin_size=1200.0, bins=20)
-        config = suggest_fit_config(hist, precision=1e-8, max_iterations=80_000)
-        curve = fit_profit_curve(hist, config)
+        curve = fit_profit_curve(hist)
         assert curve.profit == pytest.approx(5.0, rel=0.01)
         assert curve.decay == pytest.approx(0.002, rel=0.01)
 
     def test_all_zero_histogram(self):
         hist = ClickHistogram(600.0, [0.0] * 10, 5)
-        curve = fit_profit_curve(hist, suggest_fit_config(hist, precision=1e-10))
+        curve = fit_profit_curve(hist)
         assert 0.0 <= curve.profit <= 1e-12
 
     def test_fitted_curve_shape(self):
@@ -123,24 +129,20 @@ class TestFitProfitCurve:
             curve.profit
         )
 
-    def test_objective_never_increases_with_default_step(self):
+    def test_returns_best_traced_evaluation(self):
         hist = model_histogram(profit=1.5, decay=0.8, bin_size=1.0, bins=20)
         trace = []
-        fit_profit_curve(
-            hist,
-            FitConfig(step_size=1e-3, initial_profit=0.5, initial_decay=0.3),
-            trace=trace,
-        )
-        diffs = np.diff(trace)
-        assert np.all(diffs <= 1e-15 * np.maximum(trace[0], 1.0))
+        curve = fit_profit_curve(hist, trace=trace)
+        assert len(trace) > 100  # grid plus golden-section refinement
+        value = fit_objective(hist, curve.profit, curve.decay)[0]
+        assert value == pytest.approx(min(trace), rel=1e-9, abs=1e-24)
 
-    def test_divergence_raises_with_last_iterate(self):
+    def test_fast_decay_recovered(self):
+        # fast decay: the curve saturates within a few of the 20 bins
         hist = model_histogram(profit=1.5, decay=0.8, bin_size=1.0, bins=20)
-        config = FitConfig(step_size=0.5, initial_profit=0.5, initial_decay=0.3)
-        with pytest.raises(FitDivergenceError) as exc_info:
-            fit_profit_curve(hist, config)
-        assert exc_info.value.curve.profit >= 0
-        assert exc_info.value.curve.decay > 0
+        curve = fit_profit_curve(hist)
+        assert curve.profit == pytest.approx(1.5, rel=1e-6)
+        assert curve.decay == pytest.approx(0.8, rel=1e-6)
 
     def test_noisy_recovery_many_seeds(self):
         # 5% multiplicative noise: P back within 10%, decay within 15%
@@ -157,15 +159,48 @@ class TestFitProfitCurve:
             noisy[0] = 0.0
             cumulative = np.maximum.accumulate(noisy)
             hist = ClickHistogram(bin_size, list(cumulative), 1)
-            config = suggest_fit_config(hist, precision=1e-9, max_iterations=40_000)
-            curve = fit_profit_curve(hist, config)
+            curve = fit_profit_curve(hist)
             assert curve.profit == pytest.approx(profit, rel=0.10)
             assert curve.decay == pytest.approx(decay, rel=0.15)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        counts=st.lists(st.integers(0, 30), min_size=1, max_size=40),
+        pages=st.integers(1, 20),
+        bin_size=st.sampled_from([1.0, 60.0, 1200.0, 86400.0]),
+        floored=st.booleans(),
+    )
+    def test_no_worse_than_dense_scan(self, counts, pages, bin_size, floored):
+        hist = ClickHistogram(bin_size, np.cumsum([0, *counts]), pages)
+        min_decay = span_floor(hist) if floored else None
+        curve = fit_profit_curve(hist, min_decay)
+        _, _, best = dense_fit_oracle(hist.targets(), bin_size, min_decay)
+        value = fit_objective(hist, curve.profit, curve.decay)[0]
+        # near an exact fit F is rounding noise, a tiny share of sum(y^2)
+        y = np.asarray(hist.targets())
+        assert value <= best * (1 + 1e-9) + 1e-20 * float(y @ y)
+        assert curve.decay >= (min_decay or 0.0)
+
+    def test_span_floor_bounds_sparse_late_clicks(self):
+        # one click in the last of 5 bins: the data is convex, so the
+        # unbounded least-squares curve flattens into a line and P runs off
+        hist = ClickHistogram(1200.0, [0.0, 0.0, 0.0, 0.0, 0.0, 1.0], 1)
+        floored = fit_profit_curve(hist, span_floor(hist))
+        assert floored.profit <= 2 * max(hist.targets())
+        assert floored.decay >= span_floor(hist)
+        assert fit_profit_curve(hist).profit > 1e6
 
     def test_rejects_empty_pages(self):
         hist = ClickHistogram(10.0, [0.0, 1.0], 0)
         with pytest.raises(ValueError):
-            fit_profit_curve(hist, FitConfig())
+            fit_profit_curve(hist)
+
+    def test_rejects_one_bin_and_bad_floor(self):
+        with pytest.raises(ValueError):
+            fit_profit_curve(ClickHistogram(10.0, [1.0], 1))
+        for bad in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                fit_profit_curve(ClickHistogram(10.0, [0.0, 1.0], 1), bad)
 
 
 class TestEstimateLambda:
@@ -355,3 +390,13 @@ class TestEstimatorState:
         state.push_logs([(p, 350.0) for p in range(5)] * 2, t_push=3000.0)
         third = state.params_snapshot(now=3000.0)[0]
         assert (third.profit, third.decay) != (first.profit, first.decay)
+
+    def test_snapshot_is_the_span_floored_fit(self):
+        state = EstimatorState(bin_size=600.0, refit_min_clicks=1)
+        for page in range(3):
+            state.register_page(page, source=0, created=0.0)
+        state.push_logs([(0, 2500.0), (1, 2900.0), (2, 400.0)], t_push=3000.0)
+        hist = state.histogram(0)
+        expected = fit_profit_curve(hist, span_floor(hist))
+        params = state.params_snapshot(now=3000.0)[0]
+        assert (params.profit, params.decay) == (expected.profit, expected.decay)

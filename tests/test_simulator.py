@@ -15,6 +15,7 @@ from echocrawl.core import (
     SourceParams,
     total_realized_profit,
 )
+from echocrawl.estimators import EstimatorState
 from echocrawl.optimizer import closed_form_quality, solve_schedule
 from echocrawl.policies import POLICY_NAMES, CrawlPolicy
 from echocrawl.simulator import (
@@ -257,6 +258,21 @@ class TestRun:
         first = run(midsize_scenario, config)
         second = run(midsize_scenario, config)
         assert first == second
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_value_rates_only_for_policies_that_use_them(
+        self, midsize_scenario, policy, monkeypatch
+    ):
+        calls = []
+        value_rates = EstimatorState.value_rates
+
+        def counted(self, now):
+            calls.append(now)
+            return value_rates(self, now)
+
+        monkeypatch.setattr(EstimatorState, "value_rates", counted)
+        run(midsize_scenario, RunConfig(policy=policy))
+        assert bool(calls) == (policy == "echo-greedy")
 
     def test_report_accounting(self, midsize_scenario):
         config = RunConfig(policy="echo-greedy")
