@@ -316,9 +316,10 @@ def cmd_schedule(args) -> int:
         f"wrote {path}: {len(finite)}/{len(schedule.intervals)} sources scheduled, "
         f"omega={schedule.omega:.6g}, residual={schedule.residual:.3g}",
     )
-    for sid, interval in sorted(schedule.intervals.items()):
-        text = "inf" if math.isinf(interval) else f"{interval:.6g}s"
-        _say(args, f"  source {sid}: interval {text}")
+    if not args.quiet:
+        for sid, interval in sorted(schedule.intervals.items()):
+            text = "inf" if math.isinf(interval) else f"{interval:.6g}s"
+            print(f"  source {sid}: interval {text}")
     return EXIT_OK
 
 

@@ -4,10 +4,15 @@ Every tabular file starts with a one-line versioned header,
 
     # echocrawl-<kind>-v1 key=value key=value ...
 
-followed by a CSV column header and data rows.  Readers check kind and
-version before touching rows and report malformed content with its line
-number; writers format floats with repr() so values survive a round trip
-bit for bit and identical inputs produce identical bytes.
+followed by a CSV column header and data rows.  ``_COLUMNS`` declares each
+kind's columns once, in file order: name, type (int, float, text, yes/no
+bool, or a ';'-separated float list) and whether a cell may be blank.  One
+codec works from it.  Readers check kind and version before touching rows,
+parse every cell by its column's type, and report a malformed cell with its
+line number and column; a blank cell reads as None where its column may be
+blank.  Writers format every cell by its column's type, a None as a blank
+cell, and floats with repr() so values survive a round trip bit for bit and
+identical inputs produce identical bytes.
 
 Configs are YAML mappings.  ``parse_experiment_config`` turns one into an
 ExperimentConfig: a scenario plus a (policy x budget x seed) run grid.
@@ -17,11 +22,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import logging
-import math
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import yaml
 
@@ -48,70 +52,8 @@ from .simulator import (
     SourceSpec,
 )
 
-logger = logging.getLogger(__name__)
-
 FORMAT_VERSION = 1
 _PREFIX = "echocrawl"
-
-_COLUMNS = {
-    "scenario": (
-        "record",
-        "id",
-        "source_id",
-        "lambda_rate",
-        "profit_mean",
-        "decay",
-        "created_s",
-        "vanish_s",
-        "click_times_s",
-    ),
-    "clicks": ("page_id", "source_id", "created_s", "click_time_s"),
-    "trace": ("time_s", "action", "target_id", "realized_profit"),
-    "report": (
-        "policy",
-        "budget",
-        "seed",
-        "horizon_s",
-        "warmup_s",
-        "overall_quality",
-        "full_quality",
-        "total_profit",
-        "recrawls",
-        "page_fetches",
-        "idle_slots",
-        "discovered_pages",
-        "missed_pages",
-        "unknown_clicks",
-        "schedule_failures",
-        "oracle",
-    ),
-    "series": ("time_s", "quality"),
-    "params": (
-        "source_id",
-        "lambda_rate",
-        "profit",
-        "decay",
-        "pages",
-        "clicks",
-        "fitted",
-    ),
-    "schedule": ("source_id", "interval_s"),
-    "snapshots": ("host", "main_page_id", "page_id", "age_s"),
-    "corpus": ("source_page_id", "page_id", "time_s"),
-    "cover": ("rank", "source_page_id", "covered_pages", "coverage_fraction"),
-    "sourcelist": ("page_id",),
-    "qseries": ("policy", "budget", "seed", "time_s", "quality"),
-    "summary": (
-        "policy",
-        "budget",
-        "seeds",
-        "mean_overall_quality",
-        "std_overall_quality",
-        "mean_total_profit",
-        "mean_recrawls",
-        "mean_page_fetches",
-    ),
-}
 
 
 class FileFormatError(ValueError):
@@ -128,53 +70,162 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# header and row plumbing
+# column types and table declarations
+
+
+def _real(value) -> str:
+    # float() first: a subclass such as numpy.float64 has its own repr
+    # ("np.float64(...)"), which no reader parses.
+    return repr(float(value))
+
+
+def _text(value: str) -> str:
+    if " " in value or "," in value or not value.isprintable():
+        raise ValueError(f"header/cell value may not contain spaces or commas: {value!r}")
+    return value
+
+
+def _yes_no(cell: str) -> bool:
+    if cell != "yes" and cell != "no":
+        raise ValueError(cell)
+    return cell == "yes"
+
+
+# type name -> (parser, formatter, what a cell the parser rejects is not)
+_TYPES = {
+    "int": (int, str, "not an integer"),
+    "float": (float, _real, "not a number"),
+    "str": (str, _text, "not text"),
+    "bool": (_yes_no, lambda flag: "yes" if flag else "no", "not yes or no"),
+    "floats": (
+        lambda cell: tuple(float(t) for t in cell.split(";") if t),
+        lambda values: ";".join(map(_real, values)),
+        "not a number",
+    ),
+}
+
+
+class _Table(NamedTuple):
+    """One kind's columns in file order."""
+
+    names: "tuple[str, ...]"
+    parsers: "tuple[Callable[[str], Any], ...]"  # per column, for a nonblank cell
+    blanks: "tuple[bool, ...]"  # per column: a blank cell is allowed, as None
+    errors: "tuple[str, ...]"  # per column: what a cell its parser rejects is not
+    parse_row: "Callable[[Sequence[str]], tuple]"
+    format_row: "Callable[[Sequence], tuple]"
+    least: int  # fewest cells a row may have; missing trailing cells are blank
+
+
+def _column(word: str) -> tuple:
+    name, _, kind = word.partition(":")
+    return (name, kind.endswith("?"), *_TYPES[kind.rstrip("?")])
+
+
+def _compile(functions, blanks, cell: str, blank: str) -> "Callable[[Sequence], tuple]":
+    """``row -> (f0(row[0]), f1(row[1]), ...)`` as one compiled expression: a
+    direct call per cell and no loop, so the codec costs no more per row than
+    a reader or writer written out by hand.  ``cell`` and ``blank`` spell one
+    cell's term, in ``f`` and ``x``, for columns that may not or may be blank."""
+    names = [f"f{i}" for i in range(len(functions))]
+    terms = "".join(
+        (blank if may else cell).format(f=name, x=f"row[{i}]") + ", "
+        for i, (name, may) in enumerate(zip(names, blanks))
+    )
+    return eval(f"lambda row: ({terms})", dict(zip(names, functions)))
+
+
+def _table(spec: str, least: "int | None" = None) -> _Table:
+    """Columns from ``name:type`` words; a type ending in '?' may be blank."""
+    names, blanks, parsers, formats, errors = zip(*map(_column, spec.split()))
+    parse_row = _compile(parsers, blanks, "{f}({x})", "({f}({x}) if {x} else None)")
+    format_row = _compile(formats, blanks, "{f}({x})", '("" if {x} is None else {f}({x}))')
+    return _Table(names, parsers, blanks, errors, parse_row, format_row, least or len(names))
+
+
+_COLUMNS = {
+    # source records fill lambda_rate..decay, page records the other cells
+    "scenario": _table(
+        "record:str id:int source_id:int? lambda_rate:float? profit_mean:float?"
+        " decay:float? created_s:float? vanish_s:float? click_times_s:floats"
+    ),
+    "clicks": _table("page_id:int source_id:int created_s:float click_time_s:float?"),
+    "trace": _table("time_s:float action:str target_id:int realized_profit:float"),
+    "report": _table(
+        "policy:str budget:float seed:int horizon_s:float warmup_s:float"
+        " overall_quality:float full_quality:float total_profit:float recrawls:int"
+        " page_fetches:int idle_slots:int discovered_pages:int missed_pages:int"
+        " unknown_clicks:int schedule_failures:int oracle:float"
+    ),
+    "series": _table("time_s:float quality:float"),
+    "params": _table(
+        "source_id:int lambda_rate:float profit:float decay:float"
+        " pages:int? clicks:int? fitted:bool?",
+        least=4,
+    ),
+    "schedule": _table("source_id:int interval_s:float"),
+    "snapshots": _table("host:int main_page_id:int page_id:int? age_s:float?"),
+    "corpus": _table("source_page_id:int page_id:int time_s:float"),
+    "cover": _table("rank:int source_page_id:int covered_pages:int coverage_fraction:float"),
+    "sourcelist": _table("page_id:int"),
+    "qseries": _table("policy:str budget:float seed:int time_s:float quality:float"),
+    "summary": _table(
+        "policy:str budget:float? seeds:int mean_overall_quality:float"
+        " std_overall_quality:float mean_total_profit:float? mean_recrawls:float?"
+        " mean_page_fetches:float?"
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# the row codec
 
 
 def _fmt(value) -> str:
+    """A header value: key=value pairs are untyped."""
     if isinstance(value, bool):
         return "yes" if value else "no"
-    if isinstance(value, float):
-        # float() first: a subclass such as numpy.float64 has its own repr
-        # ("np.float64(...)"), which no reader parses.
-        return repr(float(value))
-    text = str(value)
-    if any(ch.isspace() for ch in text) or "," in text:
-        raise ValueError(f"header/cell value may not contain spaces: {text!r}")
-    return text
-
-
-def _write_table(
-    fh: IO[str], kind: str, meta: Mapping[str, object], rows: Iterable[Sequence]
-) -> None:
-    pairs = " ".join(f"{k}={_fmt(v)}" for k, v in meta.items())
-    fh.write(f"# {_PREFIX}-{kind}-v{FORMAT_VERSION}" + (f" {pairs}" if pairs else "") + "\n")
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(_COLUMNS[kind])
-    for row in rows:
-        writer.writerow([_fmt(cell) if cell is not None else "" for cell in row])
+    return _real(value) if isinstance(value, float) else _text(str(value))
 
 
 def write_table(path, kind: str, meta: Mapping[str, object], rows: Iterable[Sequence]) -> None:
     """Write one versioned CSV table; parents are created as needed."""
+    table = _COLUMNS[kind]
+    format_row, n = table.format_row, len(table.names)
+    pairs = "".join(f" {k}={_fmt(v)}" for k, v in meta.items())
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="") as fh:
-        _write_table(fh, kind, meta, rows)
+        fh.write(f"# {_PREFIX}-{kind}-v{FORMAT_VERSION}{pairs}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(table.names)
+        for row in rows:
+            if len(row) != n:
+                raise ValueError(f"{kind} row has {len(row)} cells, expected {n}: {row!r}")
+            writer.writerow(format_row(row))
 
 
 class _Rows:
-    """Line-number-aware row iterator over a versioned CSV table."""
+    """Reader of one versioned CSV table: checks the tag and column lines,
+    then yields each data row as a tuple of parsed cells."""
 
     def __init__(self, path, kind: str):
         self.path = Path(path)
         self.kind = kind
-        self.line = 0
+        self.columns = _COLUMNS[kind]
 
     def __enter__(self) -> "_Rows":
         self._fh = self.path.open("r", encoding="utf-8", newline="")
+        try:
+            self._read_header()
+        except BaseException:  # the caller's with-block never runs: close here
+            self._fh.close()
+            raise
+        self._reader = csv.reader(self._fh)
+        return self
+
+    def _read_header(self) -> None:
         header = self._fh.readline().rstrip("\n")
-        self.line = 1
         tag = f"# {_PREFIX}-{self.kind}-v{FORMAT_VERSION}"
         if header != tag and not header.startswith(tag + " "):
             raise FileFormatError(
@@ -187,40 +238,64 @@ class _Rows:
                 raise FileFormatError(self.path, 1, f"malformed header field {part!r}")
             self.meta[key] = value
         columns = self._fh.readline().rstrip("\n")
-        self.line = 2
-        expected = _COLUMNS[self.kind]
+        expected = self.columns.names
         got = tuple(columns.split(","))
         if got[: len(expected)] != expected and got != expected[: len(got)]:
             raise FileFormatError(
                 self.path, 2, f"expected columns {','.join(expected)}, got {columns!r}"
             )
-        self._reader = csv.reader(self._fh)
-        return self
 
     def __exit__(self, *exc) -> None:
         self._fh.close()
 
     def __iter__(self):
+        parse_row, least = self.columns.parse_row, self.columns.least
+        most = len(self.columns.names)
         for row in self._reader:
-            self.line += 1
-            if not row:
-                continue
-            yield row
+            if len(row) != most:
+                if not row:
+                    continue
+                if not least <= len(row) < most:
+                    span = f"{least} to {most}" if least < most else f"{most}"
+                    raise self.fail(f"expected {span} cells, got {len(row)}")
+                row += [""] * (most - len(row))
+            try:
+                cells = parse_row(row)
+            except ValueError:
+                raise self._bad_cell(row) from None
+            yield cells
+
+    def _bad_cell(self, row: "list[str]") -> FileFormatError:
+        """The error for the first cell of ``row`` that its column rejects."""
+        columns = self.columns
+        for name, parse, blank, error, cell in zip(
+            columns.names, columns.parsers, columns.blanks, columns.errors, row
+        ):
+            try:
+                if cell or not blank:
+                    parse(cell)
+            except ValueError:
+                break
+        return self.fail(f"column {name}: {error}: {cell!r}")
+
+    def require(self, row: tuple, *names: str) -> None:
+        """Fail on the first of the named cells that is blank in ``row``,
+        for a column the row's own kind of record may not leave blank."""
+        if None in row:
+            for name, error, cell in zip(self.columns.names, self.columns.errors, row):
+                if cell is None and name in names:
+                    raise self.fail(f"column {name}: {error}: ''")
 
     def fail(self, message: str) -> FileFormatError:
-        return FileFormatError(self.path, self.line, message)
+        """An error at the last row read (the two header lines come first)."""
+        return FileFormatError(self.path, 2 + self._reader.line_num, message)
 
-    def to_float(self, cell: str, column: str) -> float:
+    def build(self, make: Callable, *args):
+        """``make(*args)``, reporting its ValueError at the current line."""
         try:
-            return float(cell)
-        except ValueError:
-            raise self.fail(f"column {column}: not a number: {cell!r}") from None
-
-    def to_int(self, cell: str, column: str) -> int:
-        try:
-            return int(cell)
-        except ValueError:
-            raise self.fail(f"column {column}: not an integer: {cell!r}") from None
+            return make(*args)
+        except ValueError as exc:
+            raise self.fail(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -267,30 +342,12 @@ def write_scenario(path, scenario: Scenario) -> None:
 
     def rows():
         for sid, spec in enumerate(scenario.config.source_specs):
-            yield (
-                "source",
-                sid,
-                None,
-                spec.lambda_rate,
-                spec.profit_mean,
-                spec.decay,
-                None,
-                None,
-                None,
-            )
+            yield ("source", sid, None, spec.lambda_rate, spec.profit_mean, spec.decay,
+                   None, None, ())
         for event in scenario.events:
             page = scenario.pages[event.page]
-            yield (
-                "page",
-                event.page,
-                event.source,
-                None,
-                None,
-                None,
-                page.created,
-                event.vanish,
-                ";".join(repr(t) for t in page.click_times),
-            )
+            yield ("page", event.page, event.source, None, None, None,
+                   page.created, event.vanish, page.click_times)
 
     write_table(path, "scenario", _scenario_meta(scenario), rows())
 
@@ -300,40 +357,21 @@ def read_scenario(path) -> Scenario:
     specs: "dict[int, SourceSpec]" = {}
     events: "list[LinkEvent]" = []
     pages: "dict[PageId, PageGroundTruth]" = {}
-    clicks: "list[tuple[Seconds, PageId]]" = []
     with _Rows(path, "scenario") as table:
         meta = table.meta
         for row in table:
-            if len(row) != len(_COLUMNS["scenario"]):
-                raise table.fail(f"expected {len(_COLUMNS['scenario'])} cells, got {len(row)}")
-            record = row[0]
+            record, rid, sid, lam, profit, decay, created, vanish, times = row
             if record == "source":
-                sid = table.to_int(row[1], "id")
-                if sid in specs:
-                    raise table.fail(f"duplicate source id {sid}")
-                specs[sid] = SourceSpec(
-                    lambda_rate=table.to_float(row[3], "lambda_rate"),
-                    profit_mean=table.to_float(row[4], "profit_mean"),
-                    decay=table.to_float(row[5], "decay"),
-                )
+                table.require(row, "lambda_rate", "profit_mean", "decay")
+                if rid in specs:
+                    raise table.fail(f"duplicate source id {rid}")
+                specs[rid] = table.build(SourceSpec, lam, profit, decay)
             elif record == "page":
-                pid = table.to_int(row[1], "id")
-                sid = table.to_int(row[2], "source_id")
-                created = table.to_float(row[6], "created_s")
-                vanish = table.to_float(row[7], "vanish_s")
-                times = tuple(
-                    table.to_float(cell, "click_times_s")
-                    for cell in row[8].split(";")
-                    if cell
-                )
-                if pid in pages:
-                    raise table.fail(f"duplicate page id {pid}")
-                try:
-                    events.append(LinkEvent(pid, sid, created, vanish))
-                    pages[pid] = PageGroundTruth(pid, sid, created, times)
-                except ValueError as exc:
-                    raise table.fail(str(exc)) from None
-                clicks.extend((t, pid) for t in times)
+                table.require(row, "source_id", "created_s", "vanish_s")
+                if rid in pages:
+                    raise table.fail(f"duplicate page id {rid}")
+                events.append(table.build(LinkEvent, rid, sid, created, vanish))
+                pages[rid] = table.build(PageGroundTruth, rid, sid, created, times)
             else:
                 raise table.fail(f"unknown record kind {record!r}")
         try:
@@ -355,7 +393,7 @@ def read_scenario(path) -> Scenario:
                 raise FileFormatError(
                     path, 1, f"page {event.page} references unknown source {event.source}"
                 )
-    clicks.sort()
+    clicks = sorted((t, pid) for pid, page in pages.items() for t in page.click_times)
     return Scenario(config, tuple(events), pages, tuple(clicks))
 
 
@@ -374,13 +412,9 @@ def write_click_log(path, scenario: Scenario) -> None:
             for t in page.click_times:
                 yield (pid, page.source, page.created, t)
 
-    meta = {
-        "fingerprint": scenario_fingerprint(scenario.config),
-        "seed": scenario.config.seed,
-        "horizon": float(scenario.config.horizon),
-        "pages": len(scenario.pages),
-    }
-    write_table(path, "clicks", meta, rows())
+    meta = _scenario_meta(scenario)
+    keep = ("fingerprint", "seed", "horizon", "pages")
+    write_table(path, "clicks", {key: meta[key] for key in keep}, rows())
 
 
 @dataclass(frozen=True)
@@ -401,18 +435,12 @@ def read_click_log(path) -> ClickLog:
     clicks: "list[tuple[PageId, Seconds]]" = []
     with _Rows(path, "clicks") as table:
         meta = dict(table.meta)
-        for row in table:
-            if len(row) != 4:
-                raise table.fail(f"expected 4 cells, got {len(row)}")
-            pid = table.to_int(row[0], "page_id")
-            sid = table.to_int(row[1], "source_id")
-            created = table.to_float(row[2], "created_s")
+        for pid, sid, created, t in table:
             known = pages.get(pid)
             if known is not None and known != (sid, created):
                 raise table.fail(f"page {pid} re-declared with different source/created")
             pages[pid] = (sid, created)
-            if row[3]:
-                t = table.to_float(row[3], "click_time_s")
+            if t is not None:
                 if t < created:
                     raise table.fail(f"click at {t} precedes page creation {created}")
                 clicks.append((pid, t))
@@ -434,49 +462,25 @@ def write_trace(path, trace: CrawlTrace, meta: Mapping[str, object]) -> None:
     write_table(path, "trace", meta, rows())
 
 
+_ACTIONS = {"recrawl": RecrawlSource, "page": CrawlPage}
+
+
 def read_trace(path) -> "tuple[list[CrawlRecord], dict[str, str]]":
     records: "list[CrawlRecord]" = []
     with _Rows(path, "trace") as table:
         meta = dict(table.meta)
-        for row in table:
-            if len(row) != 4:
-                raise table.fail(f"expected 4 cells, got {len(row)}")
-            t = table.to_float(row[0], "time_s")
-            target = table.to_int(row[2], "target_id")
-            profit = table.to_float(row[3], "realized_profit")
-            if row[1] == "recrawl":
-                action = RecrawlSource(target)
-            elif row[1] == "page":
-                action = CrawlPage(target)
-            else:
-                raise table.fail(f"unknown action {row[1]!r}")
-            try:
-                records.append(CrawlRecord(t, action, profit))
-            except ValueError as exc:
-                raise table.fail(str(exc)) from None
+        for t, action, target, profit in table:
+            if action not in _ACTIONS:
+                raise table.fail(f"unknown action {action!r}")
+            records.append(table.build(CrawlRecord, t, _ACTIONS[action](target), profit))
     return records, meta
 
 
 def write_report(path, report, seed: int, oracle: float, fingerprint: str) -> None:
     """Persist one run's MetricReport as a single-row table."""
-    row = (
-        report.policy,
-        report.budget,
-        seed,
-        report.horizon,
-        report.warmup,
-        report.overall_quality,
-        report.full_quality,
-        report.total_profit,
-        report.recrawls,
-        report.page_fetches,
-        report.idle_slots,
-        report.discovered_pages,
-        report.missed_pages,
-        report.unknown_clicks,
-        report.schedule_failures,
-        oracle,
-    )
+    values = {**vars(report), "seed": seed, "oracle": oracle}
+    # the report columns are ReportRow's fields, all but the fingerprint
+    row = tuple(values[f.name] for f in fields(ReportRow)[:-1])
     write_table(path, "report", {"fingerprint": fingerprint}, [row])
 
 
@@ -507,29 +511,8 @@ def read_report(path) -> ReportRow:
     with _Rows(path, "report") as table:
         rows = list(table)
         if len(rows) != 1:
-            raise FileFormatError(path, table.line, f"expected 1 data row, got {len(rows)}")
-        row = rows[0]
-        if len(row) != len(_COLUMNS["report"]):
-            raise table.fail(f"expected {len(_COLUMNS['report'])} cells, got {len(row)}")
-        return ReportRow(
-            policy=row[0],
-            budget=table.to_float(row[1], "budget"),
-            seed=table.to_int(row[2], "seed"),
-            horizon=table.to_float(row[3], "horizon_s"),
-            warmup=table.to_float(row[4], "warmup_s"),
-            overall_quality=table.to_float(row[5], "overall_quality"),
-            full_quality=table.to_float(row[6], "full_quality"),
-            total_profit=table.to_float(row[7], "total_profit"),
-            recrawls=table.to_int(row[8], "recrawls"),
-            page_fetches=table.to_int(row[9], "page_fetches"),
-            idle_slots=table.to_int(row[10], "idle_slots"),
-            discovered_pages=table.to_int(row[11], "discovered_pages"),
-            missed_pages=table.to_int(row[12], "missed_pages"),
-            unknown_clicks=table.to_int(row[13], "unknown_clicks"),
-            schedule_failures=table.to_int(row[14], "schedule_failures"),
-            oracle=table.to_float(row[15], "oracle"),
-            fingerprint=table.meta.get("fingerprint", ""),
-        )
+            raise table.fail(f"expected 1 data row, got {len(rows)}")
+        return ReportRow(*rows[0], fingerprint=table.meta.get("fingerprint", ""))
 
 
 def write_series(
@@ -539,16 +522,8 @@ def write_series(
 
 
 def read_series(path) -> "tuple[list[tuple[float, float]], dict[str, str]]":
-    points: "list[tuple[float, float]]" = []
     with _Rows(path, "series") as table:
-        meta = dict(table.meta)
-        for row in table:
-            if len(row) != 2:
-                raise table.fail(f"expected 2 cells, got {len(row)}")
-            points.append(
-                (table.to_float(row[0], "time_s"), table.to_float(row[1], "quality"))
-            )
-    return points, meta
+        return list(table), dict(table.meta)
 
 
 # ---------------------------------------------------------------------------
@@ -568,16 +543,9 @@ class ParamsRow:
 
 def write_params(path, rows: Iterable[ParamsRow], meta: Mapping[str, object] = ()) -> None:
     def cells():
-        for row in rows:
-            yield (
-                row.source_id,
-                row.params.lambda_rate,
-                row.params.profit,
-                row.params.decay,
-                row.pages,
-                row.clicks,
-                None if row.fitted is None else row.fitted,
-            )
+        for r in rows:
+            p = r.params
+            yield (r.source_id, p.lambda_rate, p.profit, p.decay, r.pages, r.clicks, r.fitted)
 
     write_table(path, "params", dict(meta), cells())
 
@@ -587,22 +555,11 @@ def read_params(path) -> "tuple[list[tuple[SourceId, SourceParams]], dict[str, s
     seen: "set[SourceId]" = set()
     with _Rows(path, "params") as table:
         meta = dict(table.meta)
-        for row in table:
-            if len(row) < 4:
-                raise table.fail(f"expected at least 4 cells, got {len(row)}")
-            sid = table.to_int(row[0], "source_id")
+        for sid, lam, profit, decay, _pages, _clicks, _fitted in table:
             if sid in seen:
                 raise table.fail(f"duplicate source id {sid}")
             seen.add(sid)
-            try:
-                params = SourceParams(
-                    lambda_rate=table.to_float(row[1], "lambda_rate"),
-                    profit=table.to_float(row[2], "profit"),
-                    decay=table.to_float(row[3], "decay"),
-                )
-            except ValueError as exc:
-                raise table.fail(str(exc)) from None
-            items.append((sid, params))
+            items.append((sid, table.build(SourceParams, lam, profit, decay)))
     if not items:
         raise FileFormatError(path, 2, "params file has no sources")
     return items, meta
@@ -623,13 +580,9 @@ def read_schedule(path) -> "tuple[dict[SourceId, float], dict[str, str]]":
     intervals: "dict[SourceId, float]" = {}
     with _Rows(path, "schedule") as table:
         meta = dict(table.meta)
-        for row in table:
-            if len(row) != 2:
-                raise table.fail(f"expected 2 cells, got {len(row)}")
-            sid = table.to_int(row[0], "source_id")
+        for sid, interval in table:
             if sid in intervals:
                 raise table.fail(f"duplicate source id {sid}")
-            interval = table.to_float(row[1], "interval_s")
             if not interval > 0:
                 raise table.fail(f"interval must be > 0, got {interval}")
             intervals[sid] = interval
@@ -652,26 +605,15 @@ def write_snapshots(path, snapshots: Sequence[HostSnapshot]) -> None:
 
 
 def read_snapshots(path) -> "list[HostSnapshot]":
-    grouped: "dict[tuple[int, int], list[tuple[int, float]]]" = {}
-    order: "list[tuple[int, int]]" = []
+    grouped: "dict[tuple[int, int], list[tuple[int, float]]]" = defaultdict(list)
     with _Rows(path, "snapshots") as table:
         for row in table:
-            if len(row) != 4:
-                raise table.fail(f"expected 4 cells, got {len(row)}")
-            key = (table.to_int(row[0], "host"), table.to_int(row[1], "main_page_id"))
-            if key not in grouped:
-                grouped[key] = []
-                order.append(key)
-            if row[2]:
-                grouped[key].append(
-                    (table.to_int(row[2], "page_id"), table.to_float(row[3], "age_s"))
-                )
-        try:
-            return [
-                HostSnapshot(host, main, grouped[(host, main)]) for host, main in order
-            ]
-        except ValueError as exc:
-            raise FileFormatError(path, table.line, str(exc)) from None
+            host, main, pid, age = row
+            pages = grouped[host, main]
+            if pid is not None:
+                table.require(row, "age_s")
+                pages.append((pid, age))
+        return table.build(lambda: [HostSnapshot(*key, pages) for key, pages in grouped.items()])
 
 
 def write_corpus(path, corpus: LinkCorpus) -> None:
@@ -679,22 +621,8 @@ def write_corpus(path, corpus: LinkCorpus) -> None:
 
 
 def read_corpus(path) -> LinkCorpus:
-    links: "list[tuple[int, int, float]]" = []
     with _Rows(path, "corpus") as table:
-        for row in table:
-            if len(row) != 3:
-                raise table.fail(f"expected 3 cells, got {len(row)}")
-            links.append(
-                (
-                    table.to_int(row[0], "source_page_id"),
-                    table.to_int(row[1], "page_id"),
-                    table.to_float(row[2], "time_s"),
-                )
-            )
-        try:
-            return LinkCorpus(links)
-        except ValueError as exc:
-            raise FileFormatError(path, table.line, str(exc)) from None
+        return table.build(LinkCorpus, list(table))
 
 
 def write_cover(

@@ -148,10 +148,8 @@ def g_inverse(y: float, tolerance: float = 1e-12) -> float:
         return 0.0
 
     hi = 1.0
-    while g(hi) < y:
+    while g(hi) < y:  # stops by hi = 64: g(64.0) == 1.0 in doubles
         hi *= 2.0
-        if hi > 1e6:  # g(64) is already 1.0 in doubles; unreachable in practice
-            return hi
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)

@@ -417,9 +417,9 @@ class TestRunAndReportCommands:
             rows = list(table)
         policies = [row[0] for row in rows]
         assert policies == ["bfs", "echo-schedule", "oracle"]
-        assert all(row[2] == "2" for row in rows)  # two seeds everywhere
+        assert all(row[2] == 2 for row in rows)  # two seeds everywhere
         oracle_row = rows[-1]
-        assert oracle_row[1] == ""  # oracle is budget-independent
+        assert oracle_row[1] is None  # oracle is budget-independent
         with fileio._Rows(out / "series.csv", "qseries") as table:
             series_rows = list(table)
         assert {row[0] for row in series_rows} == {"bfs", "echo-schedule"}
@@ -568,6 +568,15 @@ class TestFitAndScheduleCommands:
         )
         intervals, _ = fileio.read_schedule(tmp_path / "schedule.csv")
         assert intervals == solve_schedule(dict(items), 0.004).intervals
+
+    def test_schedule_lists_sources_unless_quiet(self, clicklog, tmp_path, capsys):
+        assert cli.main(["fit", str(clicklog), "--out", str(tmp_path), "--quiet"]) == 0
+        argv = ["schedule", str(tmp_path / "params.csv"), "--budget", "0.004"]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[1:]] == ["  source 0", "  source 1"]
+        assert cli.main([*argv, "--out", str(tmp_path), "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
 
     def test_infeasible_budget_exits_3(self, clicklog, tmp_path, capsys):
         assert cli.main(["fit", str(clicklog), "--out", str(tmp_path), "--quiet"]) == 0
