@@ -29,8 +29,6 @@ from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 from pathlib import Path
 
-import yaml
-
 from .discovery import DEFAULT_MIN_SOURCE_AGE, find_content_sources, greedy_source_cover
 from .estimators import EstimatorState, fit_profit_curve
 from .optimizer import (
@@ -64,17 +62,9 @@ def _load_config(spec: "str | None") -> "dict":
     if spec.startswith("preset:"):
         name = spec.split(":", 1)[1]
         resource = resources.files("echocrawl").joinpath("data", f"preset-{name}.yaml")
-        try:
-            text = resource.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            raise ConfigError(f"unknown preset {name!r}; bundled: main, starved") from None
-        try:
-            node = yaml.safe_load(text)
-        except yaml.YAMLError as exc:  # a broken bundled preset is still a config error
-            raise ConfigError(f"preset {name}: invalid YAML: {exc}") from None
-        if not isinstance(node, dict):
-            raise ConfigError(f"preset {name}: top level must be a mapping")
-        return node
+        if not resource.is_file():
+            raise ConfigError(f"unknown preset {name!r}; bundled: main, starved")
+        return fileio.load_yaml_mapping(resource)
     return fileio.load_yaml_mapping(spec)
 
 
@@ -144,8 +134,7 @@ def _seed_worker(payload) -> "list[tuple[str, float, int, float]]":
 
 def cmd_generate(args) -> int:
     node = _load_config(args.config)
-    scenario_node = node.get("scenario", node) if isinstance(node, dict) else node
-    config = fileio.parse_scenario_config(scenario_node)
+    config = fileio.parse_scenario_config(node.get("scenario", node))
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     scenario = generate_scenario(config)
@@ -203,36 +192,14 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _fit_settings(node: "dict") -> "dict":
-    fit_node = node.get("fit", {})
-    if not isinstance(fit_node, dict):
-        raise ConfigError("fit: expected a mapping")
-    known = {
-        "bin_size",
-        "max_click_age",
-        "default_profit",
-        "default_decay",
-        "default_lambda",
-    }
-    extra = set(fit_node) - known
-    if extra:
-        raise ConfigError(f"fit: unknown keys {sorted(extra)}")
-    return fit_node
+# The EstimatorState parameters a config's ``fit:`` mapping may set.
+_FIT_KEYS = ("bin_size", "max_click_age", "default_profit", "default_decay", "default_lambda")
 
 
 def cmd_fit(args) -> int:
-    settings = _fit_settings(_load_config(args.config) if args.config else {})
+    node = _load_config(args.config) if args.config else {}
+    state = fileio.read_config(EstimatorState, node.get("fit", {}), "fit", keys=_FIT_KEYS)
     log = fileio.read_click_log(args.clicklog)
-    try:
-        state = EstimatorState(
-            bin_size=float(settings.get("bin_size", 1200.0)),
-            max_click_age=float(settings.get("max_click_age", 14 * 86400.0)),
-            default_profit=float(settings.get("default_profit", 0.01)),
-            default_decay=float(settings.get("default_decay", 1.0 / 86400.0)),
-            default_lambda=float(settings.get("default_lambda", 1.0 / 3600.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"fit: {exc}") from None
 
     created_by_source: "dict[int, list[float]]" = {}
     for pid in sorted(log.pages):
@@ -280,14 +247,14 @@ def cmd_fit(args) -> int:
     )
     if not rows:
         logger.warning("click log %s holds no pages; wrote an empty params file", args.clicklog)
-    for row in rows:
-        _say(
-            args,
-            f"  source {row.source_id}: lambda={row.params.lambda_rate:.6g} "
-            f"P={row.params.profit:.6g} mu={row.params.decay:.6g} "
-            f"({'fitted' if row.fitted else 'defaults'}, "
-            f"{row.pages} pages, {row.clicks} clicks)",
-        )
+    if not args.quiet:
+        for row in rows:
+            print(
+                f"  source {row.source_id}: lambda={row.params.lambda_rate:.6g} "
+                f"P={row.params.profit:.6g} mu={row.params.decay:.6g} "
+                f"({'fitted' if row.fitted else 'defaults'}, "
+                f"{row.pages} pages, {row.clicks} clicks)"
+            )
     return EXIT_OK
 
 
@@ -478,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("params", help="source-params CSV (source_id, lambda_rate, profit, decay)")
     p.add_argument("--budget", type=float, required=True, help="crawl rate N in fetches/second")
-    p.add_argument("--epsilon", type=float, default=1e-6, help="budget residual tolerance")
+    epsilon = SolverConfig().epsilon
+    p.add_argument("--epsilon", type=float, default=epsilon, help="budget residual tolerance")
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser(

@@ -117,8 +117,8 @@ CrawlTrace = Sequence[CrawlRecord]
 class MetricConfig:
     """Windowing for the dynamic quality metric."""
 
-    window: Seconds
-    sample_period: Seconds
+    window: Seconds = 3600.0
+    sample_period: Seconds = 900.0
 
     def __post_init__(self) -> None:
         if self.window <= 0:

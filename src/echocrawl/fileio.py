@@ -15,17 +15,23 @@ cell, and floats with repr() so values survive a round trip bit for bit and
 identical inputs produce identical bytes.
 
 Configs are YAML mappings.  ``parse_experiment_config`` turns one into an
-ExperimentConfig: a scenario plus a (policy x budget x seed) run grid.
+ExperimentConfig: a scenario, the settings every run shares, and a (policy
+x budget x seed) run grid.  ``read_config`` builds each section from the
+type it configures, whose signature is the section's only schema: its
+parameters are the keys, their type hints check the values, and its
+defaults fill what a section leaves out.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
+import os
 from collections import defaultdict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence, get_args, get_type_hints
 
 import yaml
 
@@ -33,7 +39,6 @@ from .core import (
     CrawlPage,
     CrawlRecord,
     CrawlTrace,
-    MetricConfig,
     PageId,
     RecrawlSource,
     Seconds,
@@ -649,8 +654,11 @@ def write_summary(path, rows: Iterable[Sequence], fingerprint: str) -> None:
 
 
 def load_yaml_mapping(path) -> "dict":
+    """The top-level mapping of a YAML file, given as a path or as a package
+    resource such as a bundled preset; an empty file is an empty mapping."""
+    source = Path(path) if isinstance(path, (str, os.PathLike)) else path
     try:
-        with Path(path).open("r", encoding="utf-8") as fh:
+        with source.open("r", encoding="utf-8") as fh:
             node = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from None
@@ -661,48 +669,74 @@ def load_yaml_mapping(path) -> "dict":
     return node
 
 
-def _require(node: Mapping, key: str, context: str):
-    if key not in node:
-        raise ConfigError(f"{context}: missing required key {key!r}")
-    return node[key]
+_SCALARS = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "text")}
 
 
-def _as_float(value, context: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{context}: expected a number, got {value!r}")
-    return float(value)
+def _config_value(hint, value, context: str):
+    """value checked against a resolved type hint; an int widens to float."""
+    if type(None) in get_args(hint):
+        if value is None:
+            return None
+        (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
+    if is_dataclass(hint):
+        return read_config(hint, value, context)
+    kinds, expected = _SCALARS[hint]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"{context}: expected {expected}, got {value!r}")
+    return hint(value)
 
 
-def _as_int(value, context: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{context}: expected an integer, got {value!r}")
-    return value
+def read_config(cls, node, context: str, fixed: "Mapping | None" = None, keys=None):
+    """Build cls from a YAML mapping whose schema is cls's own signature.
+
+    Each key names a parameter of cls, and its value must match the
+    parameter's type hint: a number for float (never a bool), an integer for
+    int, text for str, null as well for an optional, and a mapping for a
+    dataclass, read the same way.  Parameters left out keep cls's defaults.
+    fixed supplies parameters the mapping may not set; keys, when given,
+    lists the only parameters it may set.  Every error is a ConfigError
+    naming ``context.key``.
+    """
+    if not isinstance(node, Mapping):
+        raise ConfigError(f"{context}: expected a mapping")
+    fixed = fixed or {}
+    params = inspect.signature(cls).parameters
+    allowed = [name for name in keys or params if name not in fixed]
+    for key in node:
+        if key not in allowed:
+            raise ConfigError(f"{context}.{key}: unknown key")
+    hints = get_type_hints(cls if is_dataclass(cls) else cls.__init__)
+    kwargs = dict(fixed)
+    for name, param in params.items():
+        if name in node:
+            kwargs[name] = _config_value(hints[name], node[name], f"{context}.{name}")
+        elif name not in kwargs and param.default is param.empty:
+            raise ConfigError(f"{context}.{name}: missing required key")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from None
+
+
+def _count(node: Mapping, key: str, context: str) -> int:
+    """The optional repeat count node[key]: an integer >= 1, default 1."""
+    count = _config_value(int, node.get(key, 1), f"{context}.{key}")
+    if count < 1:
+        raise ConfigError(f"{context}.{key}: must be >= 1")
+    return count
 
 
 def parse_scenario_config(node: Mapping, context: str = "scenario") -> ScenarioConfig:
     """Build a ScenarioConfig from its YAML mapping.
 
-    ``sources`` is a list of {lambda_rate, profit_mean, decay} entries, each
-    with an optional ``count`` repeating it in place; ``repeat`` tiles the
-    whole expanded list, preserving its interleaving.
+    ``sources`` is a list of SourceSpec mappings, each with an optional
+    ``count`` repeating it in place; ``repeat`` tiles the whole expanded
+    list, preserving its interleaving.  Every other key is a ScenarioConfig
+    parameter.
     """
     if not isinstance(node, Mapping):
         raise ConfigError(f"{context}: expected a mapping")
-    known = {
-        "sources",
-        "repeat",
-        "horizon",
-        "link_window",
-        "budget",
-        "seed",
-        "daily_amplitude",
-        "weekly_amplitude",
-        "click_distribution",
-    }
-    for key in node:
-        if key not in known:
-            raise ConfigError(f"{context}: unknown key {key!r}")
-    raw_sources = _require(node, "sources", context)
+    raw_sources = node.get("sources")
     if not isinstance(raw_sources, list) or not raw_sources:
         raise ConfigError(f"{context}.sources: expected a nonempty list")
     specs: "list[SourceSpec]" = []
@@ -710,98 +744,27 @@ def parse_scenario_config(node: Mapping, context: str = "scenario") -> ScenarioC
         where = f"{context}.sources[{i}]"
         if not isinstance(entry, Mapping):
             raise ConfigError(f"{where}: expected a mapping")
-        extra = set(entry) - {"lambda_rate", "profit_mean", "decay", "count"}
-        if extra:
-            raise ConfigError(f"{where}: unknown keys {sorted(extra)}")
-        count = _as_int(entry.get("count", 1), f"{where}.count")
-        if count < 1:
-            raise ConfigError(f"{where}.count: must be >= 1")
-        try:
-            spec = SourceSpec(
-                lambda_rate=_as_float(_require(entry, "lambda_rate", where), where),
-                profit_mean=_as_float(_require(entry, "profit_mean", where), where),
-                decay=_as_float(_require(entry, "decay", where), where),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-        specs.extend([spec] * count)
-    repeat = _as_int(node.get("repeat", 1), f"{context}.repeat")
-    if repeat < 1:
-        raise ConfigError(f"{context}.repeat: must be >= 1")
-    try:
-        return ScenarioConfig(
-            source_specs=tuple(specs * repeat),
-            horizon=_as_float(_require(node, "horizon", context), f"{context}.horizon"),
-            link_window=_as_int(node.get("link_window", 40), f"{context}.link_window"),
-            budget=_as_float(node.get("budget", 0.01), f"{context}.budget"),
-            seed=_as_int(node.get("seed", 0), f"{context}.seed"),
-            daily_amplitude=_as_float(
-                node.get("daily_amplitude", 0.0), f"{context}.daily_amplitude"
-            ),
-            weekly_amplitude=_as_float(
-                node.get("weekly_amplitude", 0.0), f"{context}.weekly_amplitude"
-            ),
-            click_distribution=str(node.get("click_distribution", "geometric")),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from None
-
-
-def parse_run_kwargs(node: Mapping, context: str = "run") -> "dict":
-    """RunConfig keyword overrides (everything except policy and budget)."""
-    if not isinstance(node, Mapping):
-        raise ConfigError(f"{context}: expected a mapping")
-    known = {
-        "reschedule_period",
-        "logs_push_period",
-        "bin_size",
-        "history_size",
-        "warmup",
-        "policy_seed",
-        "metric",
-    }
-    for key in node:
-        if key not in known:
-            raise ConfigError(f"{context}: unknown key {key!r}")
-    kwargs: "dict" = {}
-    for key in ("reschedule_period", "logs_push_period", "bin_size"):
-        if key in node:
-            kwargs[key] = _as_float(node[key], f"{context}.{key}")
-    if "history_size" in node:
-        kwargs["history_size"] = _as_int(node["history_size"], f"{context}.history_size")
-    if "warmup" in node and node["warmup"] is not None:
-        kwargs["warmup"] = _as_float(node["warmup"], f"{context}.warmup")
-    if "policy_seed" in node:
-        kwargs["policy_seed"] = _as_int(node["policy_seed"], f"{context}.policy_seed")
-    if "metric" in node:
-        mnode = node["metric"]
-        if not isinstance(mnode, Mapping):
-            raise ConfigError(f"{context}.metric: expected a mapping")
-        extra = set(mnode) - {"window", "sample_period"}
-        if extra:
-            raise ConfigError(f"{context}.metric: unknown keys {sorted(extra)}")
-        try:
-            kwargs["metric"] = MetricConfig(
-                window=_as_float(mnode.get("window", 3600.0), f"{context}.metric.window"),
-                sample_period=_as_float(
-                    mnode.get("sample_period", 900.0), f"{context}.metric.sample_period"
-                ),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{context}.metric: {exc}") from None
-    return kwargs
+        spec = {key: value for key, value in entry.items() if key != "count"}
+        specs.extend([read_config(SourceSpec, spec, where)] * _count(entry, "count", where))
+    specs *= _count(node, "repeat", context)
+    rest = {key: value for key, value in node.items() if key not in ("sources", "repeat")}
+    return read_config(ScenarioConfig, rest, context, fixed={"source_specs": tuple(specs)})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One scenario family and the (policy x budget x seed) grid to run."""
+    """One scenario family and the (policy x budget x seed) grid to run.
+
+    run holds the settings every cell shares; make_run_config sets a cell's
+    policy and budget on it.
+    """
 
     scenario: ScenarioConfig
     policies: "tuple[str, ...]"
     budgets: "tuple[float, ...]"
     seeds: "tuple[int, ...]"
     out: str
-    run_kwargs: "Mapping[str, object]" = field(default_factory=dict)
+    run: RunConfig = field(default_factory=RunConfig)
 
     def __post_init__(self) -> None:
         if not self.policies:
@@ -819,24 +782,22 @@ class ExperimentConfig:
         ]
 
     def make_run_config(self, policy: str, budget: float) -> RunConfig:
-        return RunConfig(policy=policy, budget=budget, **self.run_kwargs)
+        return replace(self.run, policy=policy, budget=budget)
 
 
 def parse_experiment_config(node: Mapping, context: str = "config") -> ExperimentConfig:
     if not isinstance(node, Mapping):
         raise ConfigError(f"{context}: expected a mapping")
-    known = {"version", "scenario", "policies", "budgets", "seeds", "out", "run"}
+    known = {"version", *(f.name for f in fields(ExperimentConfig))}
     for key in node:
         if key not in known:
-            raise ConfigError(f"{context}: unknown key {key!r}")
+            raise ConfigError(f"{context}.{key}: unknown key")
     version = node.get("version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise ConfigError(f"{context}.version: expected {FORMAT_VERSION}, got {version!r}")
-    scenario = parse_scenario_config(
-        _require(node, "scenario", context), f"{context}.scenario"
-    )
+    scenario = parse_scenario_config(node.get("scenario"), f"{context}.scenario")
 
-    raw_policies = _require(node, "policies", context)
+    raw_policies = node.get("policies")
     if isinstance(raw_policies, str):
         raw_policies = [raw_policies]
     if not isinstance(raw_policies, list) or not raw_policies:
@@ -853,7 +814,7 @@ def parse_experiment_config(node: Mapping, context: str = "config") -> Experimen
         raw_seeds = list(range(raw_seeds))
     if not isinstance(raw_seeds, list) or not raw_seeds:
         raise ConfigError(f"{context}.seeds: expected a count or nonempty list")
-    seeds = tuple(_as_int(s, f"{context}.seeds") for s in raw_seeds)
+    seeds = tuple(_config_value(int, s, f"{context}.seeds") for s in raw_seeds)
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"{context}.seeds: duplicate seeds")
 
@@ -862,22 +823,26 @@ def parse_experiment_config(node: Mapping, context: str = "config") -> Experimen
         raw_budgets = [raw_budgets]
     if not isinstance(raw_budgets, list) or not raw_budgets:
         raise ConfigError(f"{context}.budgets: expected a number or nonempty list")
-    budgets = []
-    for b in raw_budgets:
-        value = _as_float(b, f"{context}.budgets")
+    budgets = tuple(_config_value(float, b, f"{context}.budgets") for b in raw_budgets)
+    for value in budgets:
         if value <= 0:
             raise ConfigError(f"{context}.budgets: must be > 0, got {value}")
-        budgets.append(value)
 
-    run_kwargs = parse_run_kwargs(node.get("run", {}), f"{context}.run")
+    policies = tuple(raw_policies)
+    run = read_config(
+        RunConfig,
+        node.get("run", {}),
+        f"{context}.run",
+        fixed={"policy": policies[0], "budget": budgets[0]},
+    )
     out = node.get("out", "runs")
     if not isinstance(out, str) or not out:
         raise ConfigError(f"{context}.out: expected a nonempty string")
     return ExperimentConfig(
         scenario=scenario,
-        policies=tuple(str(p) for p in raw_policies),
-        budgets=tuple(budgets),
+        policies=policies,
+        budgets=budgets,
         seeds=seeds,
         out=out,
-        run_kwargs=run_kwargs,
+        run=run,
     )

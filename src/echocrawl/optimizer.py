@@ -39,7 +39,6 @@ inside the segment.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -57,6 +56,13 @@ _UTILITY_FLOOR = 1e-300
 # Absolute floor for the inner g-inversion tolerance; below a few ulps of g
 # the inversion would chase floating point noise.
 _G_TOL_FLOOR = 5e-16
+
+# Relative tolerance of the inner g-inversion: the stationarity error
+# |p*g(mu*I) - omega| stays below _INNER_TOLERANCE * omega.
+_INNER_TOLERANCE = 1e-9
+
+# Cap on the Newton steps inside one smooth segment of the budget residual.
+_MAX_ITERATIONS = 200
 
 
 class ScheduleInfeasibleError(ValueError):
@@ -78,22 +84,14 @@ class NoConvergenceError(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class SolverConfig:
-    """Tolerances for the interval solver.
-
-    epsilon is the budget residual target in fetches/second.
-    inner_tolerance is relative on g(x) = omega/p, so the stationarity error
-    |p*g(mu*I) - omega| stays below inner_tolerance * omega.
-    max_iterations caps the Newton steps inside one smooth segment of the
-    budget residual.
-    """
+    """Tolerance for the interval solver: epsilon is the budget residual
+    target in fetches/second."""
 
     epsilon: float = 1e-6
-    inner_tolerance: float = 1e-9
-    max_iterations: int = 200
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0 or self.inner_tolerance <= 0 or self.max_iterations <= 0:
-            raise ValueError("all SolverConfig fields must be positive")
+        if self.epsilon <= 0:
+            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -206,10 +204,8 @@ def _g_inverse_bulk(y: np.ndarray, tol: np.ndarray, x0: np.ndarray) -> np.ndarra
     return x
 
 
-@functools.lru_cache(maxsize=8)
-def _flat_edge(inner_tolerance: float) -> float:
-    """The x past which g(x) is within inner_tolerance of 1."""
-    return g_inverse(1.0 - inner_tolerance, _G_TOL_FLOOR)
+# The x past which g(x) is within _INNER_TOLERANCE of 1.
+_FLAT_EDGE = g_inverse(1.0 - _INNER_TOLERANCE, _G_TOL_FLOOR)
 
 
 class _Sources:
@@ -243,13 +239,13 @@ class _Sources:
         """Positions of the sources whose utility equals omega."""
         return range(self.kept(omega), int(np.searchsorted(self.neg_p, -omega, side="right")))
 
-    def residual(self, omega: float, budget: float, inner_tolerance: float):
+    def residual(self, omega: float, budget: float):
         """Budget residual at omega and the kept sources' g-arguments x."""
         k = self.kept(omega)
         if k == 0:
             return -budget, self.x[:0]
         y = omega / self.p[:k]
-        tol = np.maximum(inner_tolerance * y, _G_TOL_FLOOR)
+        tol = np.maximum(_INNER_TOLERANCE * y, _G_TOL_FLOOR)
         x = _g_inverse_bulk(y, tol, self.x[:k])
         self.x[:k] = x
         with np.errstate(divide="ignore"):
@@ -295,11 +291,10 @@ def solve_schedule(
     Sources with lambda = 0 or negligible utility are assigned infinite
     intervals up front.  Raises ScheduleInfeasibleError when the budget
     cannot be met even with a single source kept, NoConvergenceError when
-    the Newton search inside a segment exhausts max_iterations without
+    the Newton search inside a segment exhausts _MAX_ITERATIONS without
     meeting epsilon.
     """
-    cfg = config or SolverConfig()
-    eps = cfg.epsilon
+    eps = (config or SolverConfig()).epsilon
     items = list(sources.items()) if isinstance(sources, Mapping) else list(sources)
     if not items:
         raise ValueError("solve_schedule needs at least one source")
@@ -331,9 +326,6 @@ def solve_schedule(
     del utility, mu, lam
     pinched: set[SourceId] = set()
 
-    def residual(omega: float) -> "tuple[float, np.ndarray]":
-        return src.residual(omega, budget, cfg.inner_tolerance)
-
     def solution(omega, res, x, extra: "Mapping[int, float] | None" = None) -> Schedule:
         intervals.update(zip(ids, src.intervals(x, extra or {})))
         return Schedule(
@@ -363,7 +355,7 @@ def solve_schedule(
         while a < b:
             mid = (a + b) // 2
             omega = float(src.levels[mid])
-            r, x = residual(omega)
+            r, x = src.residual(omega, budget)
             if r > eps:
                 lo, r_lo, a = omega, r, mid + 1
             elif r >= -eps:
@@ -376,11 +368,10 @@ def solve_schedule(
         # The residual is above epsilon at lo and below it at u.  Just
         # below u the level's sources are kept at intervals in g's flat
         # tail, each costing its lambda plus at most the flat-edge recrawl
-        # rate mu / x_edge; full is the residual with all of them at that.
+        # rate mu / _FLAT_EDGE; full is the residual with all of them at that.
         level = src.level(u)
-        x_edge = _flat_edge(cfg.inner_tolerance)
         at_u = slice(level.start, level.stop)
-        full = r_u + float((src.lam[at_u] + src.mu[at_u] / x_edge).sum())
+        full = r_u + float((src.lam[at_u] + src.mu[at_u] / _FLAT_EDGE).sum())
         if full <= eps:
             # Not a drop gap: the residual crosses zero in the smooth
             # segment (lo, u).  Newton on the residual with a bisection
@@ -395,8 +386,8 @@ def solve_schedule(
             else:
                 omega = 0.5 * (lo + hi)
             dx_old = dx = hi - lo
-            for _ in range(cfg.max_iterations):
-                r, x = residual(omega)
+            for _ in range(_MAX_ITERATIONS):
+                r, x = src.residual(omega, budget)
                 if abs(r) <= eps:
                     return solution(omega, r, x)
                 if r < 0.0:  # crawling less than the budget: omega too high
@@ -422,10 +413,10 @@ def solve_schedule(
                     omega -= dx
             else:
                 raise NoConvergenceError(
-                    f"Newton search did not converge in {cfg.max_iterations} steps", r
+                    f"Newton search did not converge in {_MAX_ITERATIONS} steps", r
                 )
             if hi < u or not level:
-                folded = _fold_leftover(src, omega, r, x, cfg)
+                folded = _fold_leftover(src, omega, r, x, eps)
                 if folded is None:
                     raise NoConvergenceError(
                         "Newton bracket collapsed without meeting epsilon", r
@@ -438,7 +429,7 @@ def solve_schedule(
         # u is a drop gap (the budget falls inside the jump of u's lambda),
         # or the crossing sits in g's flat tail just below u.  In the flat
         # tail every interval past the flat edge satisfies stationarity to
-        # within inner_tolerance, so hold omega at u and let the level's
+        # within _INNER_TOLERANCE, so hold omega at u and let the level's
         # sources absorb exactly the leftover budget, each capped at the
         # flat-edge spend.  That only succeeds when the residual lands
         # within epsilon; otherwise exclude sources at the level.
@@ -447,7 +438,7 @@ def solve_schedule(
         rem = -r_u
         for i in by_lambda:
             if src.lam[i] < rem:
-                spend = min(src.mu[i] / x_edge, rem - src.lam[i])
+                spend = min(src.mu[i] / _FLAT_EDGE, rem - src.lam[i])
                 flat[i] = 1.0 / spend
                 rem -= src.lam[i] + spend
         if flat and abs(rem) <= eps:
@@ -484,7 +475,7 @@ def solve_schedule(
 
 
 def _fold_leftover(
-    src: _Sources, omega: float, r: float, x: np.ndarray, cfg: SolverConfig
+    src: _Sources, omega: float, r: float, x: np.ndarray, eps: float
 ) -> "tuple[float, np.ndarray] | None":
     """Resolve a Newton bracket that collapsed inside a smooth segment.
 
@@ -504,10 +495,10 @@ def _fold_leftover(
             x_new = src.mu[best] / new_spend
             if (
                 math.isfinite(x_new)
-                and abs(src.p[best] * g(x_new) - omega) <= cfg.inner_tolerance * omega
+                and abs(src.p[best] * g(x_new) - omega) <= _INNER_TOLERANCE * omega
             ):
                 polished = r - src.mu[best] / x[best] + src.mu[best] / x_new
-                if abs(polished) <= cfg.epsilon:
+                if abs(polished) <= eps:
                     x = x.copy()
                     x[best] = x_new
                     return polished, x

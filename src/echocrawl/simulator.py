@@ -196,9 +196,7 @@ class RunConfig:
     history_size: int = 7
     warmup: Seconds | None = None
     policy_seed: int = 0
-    metric: MetricConfig = field(
-        default_factory=lambda: MetricConfig(window=3600.0, sample_period=900.0)
-    )
+    metric: MetricConfig = field(default_factory=MetricConfig)
 
     def __post_init__(self) -> None:
         if self.policy not in POLICY_NAMES:

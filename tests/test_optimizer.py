@@ -333,10 +333,14 @@ class TestScheduleInvariants:
             )
 
     def test_iteration_cap_raises(self):
-        params = {0: SourceParams(0.01, 1.0, 0.001), 1: SourceParams(0.02, 3.0, 0.002)}
-        cfg = SolverConfig(epsilon=1e-14, max_iterations=4)
-        with pytest.raises(NoConvergenceError):
-            solve_schedule(params, 0.1, cfg)
+        # an epsilon below what the floating point residual can resolve:
+        # the Newton bracket collapses to an ulp of omega first
+        rng = np.random.default_rng(0)
+        for _ in range(18):
+            params, budget = random_instance(rng, max_n=20)
+        assert (len(params), round(budget, 4)) == (7, 0.0756)
+        with pytest.raises(NoConvergenceError, match="bracket collapsed"):
+            solve_schedule(params, budget, SolverConfig(epsilon=1e-12))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -20,8 +20,6 @@ from echocrawl.policies import (
     make_policy,
 )
 
-pytestmark = pytest.mark.filterwarnings("error")
-
 
 def fixed_schedule(intervals):
     """Schedule stub with the given {source: interval} map."""

@@ -21,12 +21,6 @@ from echocrawl.optimizer import Schedule
 from echocrawl.policies import POLICY_NAMES, Idle, make_policy
 from oracles import greedy_oracle, most_behind_oracle
 
-# hypothesis imports libcst to explain a failing example, which warns on
-# import; left an error, that warning would hide the example
-pytestmark = pytest.mark.filterwarnings(
-    "error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
-)
-
 INTERVALS = (0.5, 1.0, 2.0, 3.0, math.inf)
 VALUE_RATES = (0.0, 0.25, 1.0, 2.0)
 TIME_STEPS = (0.0, 0.5, 1.0, 2.5)
