@@ -260,20 +260,16 @@ def cmd_fit(args) -> int:
 
 def cmd_schedule(args) -> int:
     items, _ = fileio.read_params(args.params)
-    if args.budget <= 0:
-        raise ConfigError(f"--budget must be > 0, got {args.budget}")
-    if args.epsilon <= 0:
-        raise ConfigError(f"--epsilon must be > 0, got {args.epsilon}")
     try:
-        schedule = solve_schedule(
-            dict(items), args.budget, SolverConfig(epsilon=args.epsilon)
-        )
+        schedule = solve_schedule(dict(items), args.budget, SolverConfig(epsilon=args.epsilon))
     except ScheduleInfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except NoConvergenceError as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except ValueError as exc:  # a budget or epsilon that is not finite and > 0
+        raise ConfigError(str(exc)) from None
     outdir = Path(args.out or ".")
     path = outdir / "schedule.csv"
     fileio.write_schedule(path, schedule, args.epsilon)

@@ -310,15 +310,13 @@ class EstimatorState:
         self,
         events: Iterable["tuple[PageId, Seconds]"],
         t_push: Seconds,
-    ) -> "dict[SourceId, ClickHistogram]":
+    ) -> None:
         """Ingest (page, click time) events visible at t_push.
 
         Events after t_push or older than max_click_age in page age are
         ignored; clicks on unregistered pages only bump unknown_clicks.
         Each event must be pushed once: callers feed disjoint time slices.
-        Returns the updated histogram of every touched source.
         """
-        touched: "set[SourceId]" = set()
         for page, t_click in events:
             if t_click > t_push:
                 continue
@@ -340,8 +338,6 @@ class EstimatorState:
             track.total_clicks += 1
             if index > track.max_bin:
                 track.max_bin = index
-            touched.add(source)
-        return {source: self.histogram(source) for source in sorted(touched)}
 
     def histogram(self, source: SourceId) -> ClickHistogram:
         """Current cumulative click histogram of one source."""

@@ -35,6 +35,10 @@ within tolerance, or are excluded, largest lambda first, and the search
 resumes below the level.  Excluded sources are reported in
 Schedule.pinched.  Otherwise a safeguarded Newton iteration finds omega
 inside the segment.
+
+Each residual evaluation inverts g for all kept sources at once, by Newton
+from the asymptotic root, and stops once stationarity holds and the summed
+recrawl rate is resolved to a tenth of epsilon.
 """
 
 from __future__ import annotations
@@ -61,6 +65,14 @@ _G_TOL_FLOOR = 5e-16
 # |p*g(mu*I) - omega| stays below _INNER_TOLERANCE * omega.
 _INNER_TOLERANCE = 1e-9
 
+# Share of epsilon that the inner g-inversion may leave as error in the kept
+# sources' summed recrawl rate, so the budget residual is resolved to epsilon.
+_RATE_SHARE = 0.1
+
+# Cap on the Newton steps of one inner g-inversion: it needs at most 4 to
+# meet the g-tolerance, and each further step squares the error.
+_MAX_INNER_STEPS = 8
+
 # Cap on the Newton steps inside one smooth segment of the budget residual.
 _MAX_ITERATIONS = 200
 
@@ -74,8 +86,9 @@ class ScheduleInfeasibleError(ValueError):
 
 
 class NoConvergenceError(RuntimeError):
-    """The Newton search in a segment hit the iteration cap, or its bracket
-    collapsed, before meeting epsilon."""
+    """The Newton search for omega in a smooth segment hit its iteration cap,
+    or its bracket collapsed to a few ulps of omega, before the residual met
+    epsilon: epsilon is below what the floating point residual resolves."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (residual {residual:.6g} fetches/s)")
@@ -90,8 +103,8 @@ class SolverConfig:
     epsilon: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -163,44 +176,47 @@ def g_inverse(y: float, tolerance: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def _g_inverse_bulk(y: np.ndarray, tol: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Vectorized g inversion: Newton from a warm start or an asymptotic guess.
+_ATANH_TAIL = 1.0 / np.arange(15.0, 2.0, -2.0)  # 1/15, 1/13, ..., 1/3
 
-    Warm starts x0 > 0 from a previous solution skip most of the
-    iterations.  Where x0 is 0 (no previous solution; Newton cannot leave
-    x = 0) the start is the asymptotic root: near sqrt(2y) for y < 1/2
-    (from g(x) ~ x^2/2), near w + log(1+w) with w = -log(1-y) for y -> 1
-    (from 1 - g = (1+x)exp(-x)).
 
-    Newton runs on h(x) = log((1 - g(x)) / (1 - y)) = log1p(x) - x + w
-    rather than on g(x) - y: both vanish at the root, but h stays nearly
-    linear in g's flat tail, where g's slope x exp(-x) is tiny and Newton
-    on g creeps by about one unit of x per step.  The stopping test is
-    still |g(x) - y| <= tol, as (1 - y) |expm1(h)|, which needs no
-    cancelling 1 - (1 + x) exp(-x).  Stragglers fall back to the scalar
-    bisection.  Never returns x0 itself.
+def _log1pmx(x: np.ndarray) -> np.ndarray:
+    """log1p(x) - x to a few ulps: below x = 0.1, where the difference
+    cancels, as -x s + 2 s^3 (1/3 + s^2/5 + ...), s = x / (2 + x)."""
+    out = np.log1p(x) - x
+    if x.min() < 0.1:
+        small = x < 0.1
+        x = x[small]
+        s = x / (2.0 + x)
+        out[small] = 2.0 * s**3 * np.polyval(_ATANH_TAIL, s * s) - x * s
+    return out
+
+
+def _g_inverse_bulk(y: np.ndarray, mu: np.ndarray, rate_tol: float) -> np.ndarray:
+    """Vectorized g inversion: Newton from the asymptotic root.
+
+    x starts at sqrt(2y) for y < 1/2 (from g(x) ~ x^2/2), else at
+    w + log1p(w) with w = -log1p(-y) (from 1 - g = (1+x)exp(-x)).  Newton
+    runs on h(x) = log((1 - g(x)) / (1 - y)) = log1p(x) - x + w rather than
+    on g(x) - y: both vanish at the root, but h stays nearly linear in g's
+    flat tail, where Newton on g creeps by about one unit of x per step.
+    Every y in (0, 1) meets the g-tolerance |g(x) - y| <=
+    max(_INNER_TOLERANCE y, _G_TOL_FLOOR) within 4 steps.  In the flat tail
+    that tolerance still leaves the recrawl rate mu / x loose, so the
+    inversion stops only once the summed rate error, sum mu |step| / x^2
+    with the Newton step as x's error, is at most rate_tol too.  Past
+    _MAX_INNER_STEPS x is at float resolution and is returned as it stands.
     """
     w = -np.log1p(-y)
-    if (x0 > 0.0).all():
-        x = x0.copy()
-    else:
-        x = np.where(x0 > 0.0, x0, np.where(y < 0.5, np.sqrt(2.0 * y), w + np.log1p(w)))
-    one_minus_y = 1.0 - y
-
+    x = np.where(y < 0.5, np.sqrt(2.0 * y), w + np.log1p(w))
+    # |h| <= h_tol implies |g(x) - y| = (1 - y) |expm1(h)| <= the g-tolerance.
+    h_tol = np.log1p(np.maximum(_INNER_TOLERANCE * y, _G_TOL_FLOOR) / (1.0 - y))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(40):
-            h = np.log1p(x) - x + w
-            if (np.abs(np.expm1(h)) * one_minus_y <= tol).all():
-                return x
-            # h'(x) = -x / (1 + x).  Trust region: at most an 8x move per
-            # step, so a stale warm start cannot overshoot to 0 or to
-            # astronomically large x.
-            x = (x + h * (1.0 + x) / x).clip(0.125 * x, 8.0 * x)
-        h = np.log1p(x) - x + w
-        # NaN errors count as unconverged.
-        bad = ~(np.abs(np.expm1(h)) * one_minus_y <= tol)
-    for idx in np.nonzero(bad)[0]:
-        x[idx] = g_inverse(float(y[idx]), float(tol[idx]))
+        for _ in range(_MAX_INNER_STEPS):
+            h = _log1pmx(x) + w
+            step = h * (1.0 + x) / x  # h'(x) = -x / (1 + x)
+            if (np.abs(h) <= h_tol).all() and (mu * np.abs(step / x**2)).sum() <= rate_tol:
+                break
+            x += step
     return x
 
 
@@ -220,7 +236,6 @@ class _Sources:
         self.p = p[order]
         self.mu = mu[order]
         self.lam = lam[order]
-        self.x = np.zeros(len(ids))  # warm starts for the inner inversion
         self._index()
 
     def _index(self) -> None:
@@ -239,15 +254,12 @@ class _Sources:
         """Positions of the sources whose utility equals omega."""
         return range(self.kept(omega), int(np.searchsorted(self.neg_p, -omega, side="right")))
 
-    def residual(self, omega: float, budget: float):
+    def residual(self, omega: float, budget: float, eps: float):
         """Budget residual at omega and the kept sources' g-arguments x."""
         k = self.kept(omega)
         if k == 0:
-            return -budget, self.x[:0]
-        y = omega / self.p[:k]
-        tol = np.maximum(_INNER_TOLERANCE * y, _G_TOL_FLOOR)
-        x = _g_inverse_bulk(y, tol, self.x[:k])
-        self.x[:k] = x
+            return -budget, np.empty(0)
+        x = _g_inverse_bulk(omega / self.p[:k], self.mu[:k], _RATE_SHARE * eps)
         with np.errstate(divide="ignore"):
             rate = self.mu[:k] / x
         return float(rate.sum() + self.lam_prefix[k] - budget), x
@@ -264,7 +276,6 @@ class _Sources:
         self.p = np.delete(self.p, positions)
         self.mu = np.delete(self.mu, positions)
         self.lam = np.delete(self.lam, positions)
-        self.x = np.delete(self.x, positions)
         self._index()
 
     def sid(self, position: int) -> SourceId:
@@ -291,15 +302,14 @@ def solve_schedule(
     Sources with lambda = 0 or negligible utility are assigned infinite
     intervals up front.  Raises ScheduleInfeasibleError when the budget
     cannot be met even with a single source kept, NoConvergenceError when
-    the Newton search inside a segment exhausts _MAX_ITERATIONS without
-    meeting epsilon.
+    the Newton search inside a segment cannot meet epsilon.
     """
     eps = (config or SolverConfig()).epsilon
     items = list(sources.items()) if isinstance(sources, Mapping) else list(sources)
     if not items:
         raise ValueError("solve_schedule needs at least one source")
-    if budget <= 0:
-        raise ValueError(f"budget must be > 0, got {budget}")
+    if not 0.0 < budget < math.inf:
+        raise ValueError(f"budget must be finite and > 0, got {budget}")
 
     items.sort(key=lambda kv: kv[0])
     intervals: dict[SourceId, float] = {}
@@ -337,11 +347,9 @@ def solve_schedule(
         )
 
     # u is the lowest multiplier known to leave the residual at or below
-    # epsilon.  The top utility always qualifies: no source is kept there
-    # and the residual is -budget, which is never a solution, since one
-    # source must stay.  Dropping sources at u leaves the residual at u
-    # unchanged (they are not kept there), so u stays valid across
-    # exclusions.
+    # epsilon: at first the top utility, where no source is kept and the
+    # residual is -budget (never a solution: one source must stay).  Dropping
+    # sources at u leaves its residual unchanged, so u stays valid.
     u = math.inf
     while True:
         if src.levels[-1] < u:
@@ -355,7 +363,7 @@ def solve_schedule(
         while a < b:
             mid = (a + b) // 2
             omega = float(src.levels[mid])
-            r, x = src.residual(omega, budget)
+            r, x = src.residual(omega, budget, eps)
             if r > eps:
                 lo, r_lo, a = omega, r, mid + 1
             elif r >= -eps:
@@ -378,16 +386,15 @@ def solve_schedule(
             # safeguard, taking the Newton step only while it stays inside
             # the bracket and shrinks faster than halving.
             hi = u
-            # Start from the secant between the segment's ends; from the
-            # midpoint when lo was never evaluated, or when full >= 0 would
-            # put the secant at or past u.
+            # Start from the secant between the segment's ends, or from the
+            # midpoint if lo was never evaluated or full >= 0 (secant past u).
             if math.isfinite(r_lo) and full < 0.0:
                 omega = lo + (hi - lo) * r_lo / (r_lo - full)
             else:
                 omega = 0.5 * (lo + hi)
             dx_old = dx = hi - lo
             for _ in range(_MAX_ITERATIONS):
-                r, x = src.residual(omega, budget)
+                r, x = src.residual(omega, budget, eps)
                 if abs(r) <= eps:
                     return solution(omega, r, x)
                 if r < 0.0:  # crawling less than the budget: omega too high
@@ -416,23 +423,16 @@ def solve_schedule(
                     f"Newton search did not converge in {_MAX_ITERATIONS} steps", r
                 )
             if hi < u or not level:
-                folded = _fold_leftover(src, omega, r, x, eps)
-                if folded is None:
-                    raise NoConvergenceError(
-                        "Newton bracket collapsed without meeting epsilon", r
-                    )
-                return solution(omega, *folded)
+                raise NoConvergenceError("Newton bracket collapsed without meeting epsilon", r)
             # The bracket collapsed onto the level itself: the crossing lies
             # in g's flat tail, which omega cannot resolve; complete it as
             # at a drop gap.
 
         # u is a drop gap (the budget falls inside the jump of u's lambda),
-        # or the crossing sits in g's flat tail just below u.  In the flat
-        # tail every interval past the flat edge satisfies stationarity to
-        # within _INNER_TOLERANCE, so hold omega at u and let the level's
-        # sources absorb exactly the leftover budget, each capped at the
-        # flat-edge spend.  That only succeeds when the residual lands
-        # within epsilon; otherwise exclude sources at the level.
+        # or the crossing sits in g's flat tail just below u, where every
+        # interval past the flat edge meets stationarity.  So hold omega at
+        # u and let the level's sources absorb the leftover budget, each at
+        # most at the flat-edge spend; if that misses epsilon, exclude some.
         by_lambda = sorted(level, key=lambda i: -src.lam[i])  # stable: ties by id
         flat: "dict[int, float]" = {}  # position -> interval
         rem = -r_u
@@ -449,12 +449,10 @@ def solve_schedule(
             raise ScheduleInfeasibleError(
                 "budget infeasible: cannot meet constraint with the last source", r_u
             )
-        # Exclude the level's sources, largest lambda first (it frees the
-        # most budget), until full falls to zero; then search again below
-        # u.  Each exclusion is credited with its lambda only: the level's
-        # flat-edge recrawl rate stays counted as a margin, which drops one
-        # source more where the ones kept would sit so deep in the flat
-        # tail that they capture next to nothing for the lambda they cost.
+        # Exclude the level's sources, largest lambda first, until full falls
+        # to zero, then search again below u.  Each is credited with its
+        # lambda only: keeping the level's flat-edge rate as a margin drops
+        # one source more where those kept would capture next to nothing.
         need = full
         dropped: "list[int]" = []
         for i in by_lambda:
@@ -472,37 +470,6 @@ def solve_schedule(
             [src.sid(i) for i in dropped],
         )
         src.drop(dropped)
-
-
-def _fold_leftover(
-    src: _Sources, omega: float, r: float, x: np.ndarray, eps: float
-) -> "tuple[float, np.ndarray] | None":
-    """Resolve a Newton bracket that collapsed inside a smooth segment.
-
-    That is a pure granularity shortfall: one ulp of omega moves the spend
-    by more than epsilon.  Fold the leftover into the steepest kept source
-    (the one dominating d(spend)/d(omega)); its interval shift is sub-ulp in
-    omega terms, so stationarity moves by far less than the inner tolerance.
-    Returns the new residual and x, or None when the leftover cannot be
-    folded anywhere: a tolerance below what the floating point residual
-    can resolve.
-    """
-    if len(x):
-        steep = src.steepness(x)
-        best = int(steep.argmax())
-        new_spend = src.mu[best] / x[best] - r
-        if steep[best] > 0.0 and new_spend > 0.0:
-            x_new = src.mu[best] / new_spend
-            if (
-                math.isfinite(x_new)
-                and abs(src.p[best] * g(x_new) - omega) <= _INNER_TOLERANCE * omega
-            ):
-                polished = r - src.mu[best] / x[best] + src.mu[best] / x_new
-                if abs(polished) <= eps:
-                    x = x.copy()
-                    x[best] = x_new
-                    return polished, x
-    return None
 
 
 def closed_form_quality(

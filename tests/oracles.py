@@ -2,11 +2,12 @@
 
 These deliberately avoid the solver's own machinery: the grid search
 enumerates allocations on the budget simplex directly, g_decimal
-evaluates g with 50-digit decimal arithmetic, and the crossing oracle
-scans every utility level with the scalar g_inverse instead of searching
-them with the vectorized inversion.  The decision oracles rank every source
-in a Python loop by the policies' tie-break keys, over plain dicts, where
-the policies use arrays.  The curve-fit oracle scans a dense fixed set of
+evaluates g with 50-digit decimal arithmetic and g_root_decimal inverts it
+in decimal arithmetic too, and the crossing oracle scans every utility
+level with the scalar g_inverse instead of searching them with the
+vectorized inversion.  The decision oracles rank every source in a Python
+loop by the policies' tie-break keys, over plain dicts, where the policies
+use arrays.  The curve-fit oracle scans a dense fixed set of
 decays where the fit searches adaptively.
 """
 
@@ -24,6 +25,20 @@ def g_decimal(x: float) -> float:
     getcontext().prec = 50
     xd = Decimal(repr(x))
     return float(1 - (1 + xd) * (-xd).exp())
+
+
+def g_root_decimal(y: float, x: float) -> Decimal:
+    """The root of g(x) = y by Newton on log((1 - g(x)) / (1 - y)) from
+    x > 0, in decimal arithmetic with 40 digits more than g's cancellation
+    near 0 costs, until a step moves x by less than 1e-30 of itself."""
+    getcontext().prec = 40 + max(0, -Decimal(y).adjusted())
+    xd, w = Decimal(x), -(1 - Decimal(y)).ln()
+    for _ in range(200):
+        step = ((1 + xd).ln() - xd + w) * (1 + xd) / xd
+        xd += step
+        if abs(step) < xd * Decimal("1e-30"):
+            return xd
+    raise ArithmeticError(f"no decimal root for y = {y!r}")
 
 
 def _quality_terms(params, xs):

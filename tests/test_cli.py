@@ -709,6 +709,21 @@ class TestFitAndScheduleCommands:
         assert code == cli.EXIT_SOLVER
         assert "residual" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option",
+        ["--budget=nan", "--budget=inf", "--budget=-inf", "--budget=0", "--epsilon=nan"]
+        + ["--epsilon=inf", "--epsilon=0", "--epsilon=-1e-6"],
+    )
+    def test_schedule_rejects_budget_or_epsilon_not_finite_and_positive(
+        self, tmp_path, capsys, option
+    ):
+        params = tmp_path / "one.csv"
+        fileio.write_params(params, [fileio.ParamsRow(0, SourceParams(0.001, 2.0, 1e-4))])
+        argv = ["schedule", str(params), "--budget", "0.004", option, "--out", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "schedule.csv").exists()
+
     def test_single_source_closed_form_interval(self, tmp_path):
         params = tmp_path / "one.csv"
         fileio.write_params(

@@ -287,8 +287,8 @@ class TestEstimatorState:
     def test_hand_binning(self):
         state = EstimatorState(bin_size=1200.0)
         state.register_page(7, source=3, created=0.0)
-        updated = state.push_logs([(7, 100.0), (7, 1500.0)], t_push=2000.0)
-        hist = updated[3]
+        assert state.push_logs([(7, 100.0), (7, 1500.0)], t_push=2000.0) is None
+        hist = state.histogram(3)
         assert hist.cumulative == (0.0, 1.0, 2.0)
         assert hist.page_count == 1
 
@@ -297,7 +297,7 @@ class TestEstimatorState:
         state.register_page(1, source=0, created=0.0)
         state.push_logs([(1, 500.0)], t_push=1000.0)
         before = state.histogram(0)
-        assert state.push_logs([], t_push=2000.0) == {}
+        state.push_logs([], t_push=2000.0)
         assert state.histogram(0) == before
 
     def test_push_visibility(self):
@@ -311,7 +311,8 @@ class TestEstimatorState:
     def test_unknown_page_counted(self):
         state = EstimatorState()
         state.ensure_source(0)
-        assert state.push_logs([(99, 10.0)], t_push=100.0) == {}
+        state.push_logs([(99, 10.0)], t_push=100.0)
+        assert state.histogram(0).cumulative == (0.0,)
         assert state.unknown_clicks == 1
 
     def test_old_clicks_truncated(self):

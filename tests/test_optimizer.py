@@ -6,6 +6,7 @@ the budget simplex.
 """
 
 import math
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from echocrawl.optimizer import (
     solve_schedule,
 )
 from instances import check_schedule, random_instance, random_tied_instance
-from oracles import crossing_oracle, g_decimal, grid_search_quality
+from oracles import crossing_oracle, g_decimal, g_root_decimal, grid_search_quality
 
 # A solver input captured from a preset:main crawl (echo-schedule, seed 0,
 # simulated hour 32.5) whose solution ends in g's flat tail.
@@ -102,16 +103,37 @@ class TestGInverse:
             x = g_inverse(float(y), 1e-10)
             assert abs(g(x) - y) <= 1e-10
 
-    @pytest.mark.parametrize("start", [0.0, 0.01, 30.0])
-    def test_bulk_meets_tolerance_from_cold_and_stale_starts(self, start):
-        # y from deep in g's quadratic head to deep in its flat tail, checked
-        # with the scalar g; a zero start means a cold one.
-        head = 10.0 ** -np.linspace(1, 14, 30)
-        y = np.concatenate([head, 1.0 - 10.0 ** -np.linspace(1, 15, 30)])
-        tol = np.maximum(1e-9 * y, 5e-16)
-        x = optimizer._g_inverse_bulk(y, tol, np.full_like(y, start))
-        for xi, yi, ti in zip(x, y, tol):
-            assert abs(g(float(xi)) - yi) <= ti
+    def test_bulk_meets_g_tolerance_within_four_steps(self, monkeypatch):
+        # y across the doubles in (0, 1): from the smallest subnormal through
+        # g's quadratic head to the largest double below 1, deep in its flat
+        # tail; checked with the scalar g.  An infinite rate_tol leaves only
+        # the g-tolerance to stop on.
+        y = np.concatenate(
+            [
+                [5e-324, 1.0 - 2.0**-53],
+                10.0 ** -np.linspace(0.0, 323.0, 20_000)[1:],
+                1.0 - 2.0 ** -np.linspace(1.0, 53.0, 5_000),
+            ]
+        )
+        monkeypatch.setattr(optimizer, "_MAX_INNER_STEPS", 4)
+        x = optimizer._g_inverse_bulk(y, np.ones_like(y), math.inf)
+        for xi, yi in zip(x.tolist(), y.tolist()):
+            assert abs(g(xi) - yi) <= max(1e-9 * yi, 5e-16), yi
+
+    def test_bulk_meets_rate_bound(self):
+        # Each y alone, with mu = x* (a recrawl rate of 1): the rate error
+        # mu |x - x*| / x*^2 against the decimal root x*.  The g-tolerance
+        # alone leaves it up to about 1e-2 in g's flat tail.  The Newton
+        # step estimates x's error to second order, hence the slack.
+        y = np.concatenate(
+            [10.0 ** -np.linspace(0.31, 300.0, 300), 1.0 - 10.0 ** -np.linspace(0.31, 15.9, 300)]
+        )
+        start = np.where(y < 0.5, np.sqrt(2.0 * y), -np.log1p(-y))
+        for yi, xi in zip(y.tolist(), start.tolist()):
+            root = g_root_decimal(yi, xi)
+            x = optimizer._g_inverse_bulk(np.array([yi]), np.array([float(root)]), 1e-12)
+            error = root * abs(Decimal(float(x[0])) - root) / root**2
+            assert error <= Decimal(1e-12 * (1 + 1e-6)), yi
 
     def test_domain_rejected(self):
         for y in [-0.1, 1.0, 1.5]:
@@ -169,6 +191,11 @@ class TestSolveScheduleExamples:
     def test_nonpositive_budget_rejected(self):
         with pytest.raises(ValueError):
             solve_schedule({0: SourceParams(0.01, 1.0, 0.001)}, budget=0.0)
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf])
+    def test_non_finite_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget must be finite and > 0"):
+            solve_schedule({0: SourceParams(0.01, 1.0, 0.001)}, budget)
 
     def test_all_prefiltered_is_infeasible(self):
         params = {0: SourceParams(0.0, 1.0, 0.001), 1: SourceParams(0.01, 0.0, 0.001)}
@@ -332,19 +359,50 @@ class TestScheduleInvariants:
                 closed_form_quality(s1, params) * c, rel=1e-6
             )
 
-    def test_iteration_cap_raises(self):
-        # an epsilon below what the floating point residual can resolve:
-        # the Newton bracket collapses to an ulp of omega first
+    def test_residual_depends_on_omega_alone(self):
+        # Every inner inversion starts afresh: the residual at a multiplier
+        # is the same whatever was evaluated before it.
+        params = found1_params()
+        ids = sorted(params)
+        src = optimizer._Sources(
+            ids,
+            np.array([params[i].utility for i in ids]),
+            np.array([params[i].decay for i in ids]),
+            np.array([params[i].lambda_rate for i in ids]),
+        )
+        omegas = np.quantile(src.levels, [0.2, 0.5, 0.8]) * 0.999
+        first = [src.residual(float(omega), FOUND1_BUDGET, 1e-10) for omega in omegas]
+        again = [src.residual(float(omega), FOUND1_BUDGET, 1e-10) for omega in omegas[::-1]]
+        for (r1, x1), (r2, x2) in zip(first, again[::-1]):
+            assert r1 == r2
+            assert x1.tolist() == x2.tolist()
+
+    @pytest.mark.parametrize("epsilon", [1e-12, 1e-14])
+    def test_tight_epsilon_solves(self, epsilon):
+        # The inner inversion resolves each residual to a tenth of epsilon,
+        # so the Newton bracket never collapses on inversion noise.
         rng = np.random.default_rng(0)
-        for _ in range(18):
+        for _ in range(300):
             params, budget = random_instance(rng, max_n=20)
-        assert (len(params), round(budget, 4)) == (7, 0.0756)
-        with pytest.raises(NoConvergenceError, match="bracket collapsed"):
-            solve_schedule(params, budget, SolverConfig(epsilon=1e-12))
+            sched = solve_schedule(params, budget, SolverConfig(epsilon=epsilon))
+            check_schedule(params, budget, sched, eps=epsilon)
+
+    def test_epsilon_below_residual_resolution_raises(self):
+        # One source whose interval lies in g's flat tail: one ulp of omega
+        # there moves the residual by more than 1e-16, so the Newton bracket
+        # collapses to a few ulps of omega first.
+        rng = np.random.default_rng(0)
+        for _ in range(39):
+            params, budget = random_instance(rng, max_n=20)
+        assert (len(params), round(budget, 9)) == (1, 5.5245e-05)
+        with pytest.raises(NoConvergenceError, match="bracket collapsed") as exc:
+            solve_schedule(params, budget, SolverConfig(epsilon=1e-16))
+        assert abs(exc.value.residual) > 1e-16
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(epsilon=0.0)
+        for epsilon in [0.0, -1e-6, math.nan, math.inf]:
+            with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
+                SolverConfig(epsilon=epsilon)
 
 
 class TestClosedFormQuality:
