@@ -120,6 +120,24 @@ class TestGInverse:
         for xi, yi in zip(x.tolist(), y.tolist()):
             assert abs(g(xi) - yi) <= max(1e-9 * yi, 5e-16), yi
 
+    @pytest.mark.parametrize("mu", [0.0, 0.01, 30.0])
+    def test_bulk_meets_tolerance_from_cold_and_stale_starts(self, mu):
+        # y from deep in g's quadratic head to deep in its flat tail, checked
+        # with the scalar g.  Every y starts cold, from the asymptotic root,
+        # and a call keeps nothing for the next, so a stale start cannot
+        # arise: the same y give the same x after any other call.  The rate
+        # weight mu (none, light, heavy) only decides how many Newton steps
+        # are taken past the g-tolerance, which must hold in every case.
+        head = 10.0 ** -np.linspace(1, 14, 30)
+        y = np.concatenate([head, 1.0 - 10.0 ** -np.linspace(1, 15, 30)])
+        tol = np.maximum(1e-9 * y, 5e-16)
+        cold = optimizer._g_inverse_bulk(y, np.full_like(y, mu), 1e-12)
+        optimizer._g_inverse_bulk(1.0 - y, np.full_like(y, mu), 1e-12)
+        x = optimizer._g_inverse_bulk(y, np.full_like(y, mu), 1e-12)
+        np.testing.assert_array_equal(x, cold)
+        for xi, yi, ti in zip(x, y, tol):
+            assert abs(g(float(xi)) - yi) <= ti
+
     def test_bulk_meets_rate_bound(self):
         # Each y alone, with mu = x* (a recrawl rate of 1): the rate error
         # mu |x - x*| / x*^2 against the decimal root x*.  The g-tolerance
