@@ -19,6 +19,7 @@ from .core import (
     ProfitCurve,
     RecrawlSource,
     SourceParams,
+    SourceTable,
     dynamic_quality,
     overall_quality,
     profit_at,
@@ -73,6 +74,7 @@ __all__ = [
     "ProfitCurve",
     "RecrawlSource",
     "SourceParams",
+    "SourceTable",
     "dynamic_quality",
     "overall_quality",
     "profit_at",

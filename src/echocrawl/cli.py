@@ -259,9 +259,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_schedule(args) -> int:
-    items, _ = fileio.read_params(args.params)
+    sources, _ = fileio.read_params(args.params)
     try:
-        schedule = solve_schedule(dict(items), args.budget, SolverConfig(epsilon=args.epsilon))
+        schedule = solve_schedule(sources, args.budget, SolverConfig(epsilon=args.epsilon))
     except ScheduleInfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_SOLVER

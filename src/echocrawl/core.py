@@ -11,8 +11,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence, Union
+
+import numpy as np
 
 SourceId = int
 PageId = int
@@ -28,6 +32,8 @@ class SourceParams:
         lambda_rate: rate of new page appearance, links/second (>= 0).
         profit: expected total clicks P on one new page (>= 0).
         decay: exponential decay rate mu of remaining clicks, 1/second (> 0).
+
+    Every value must be finite.
     """
 
     lambda_rate: float
@@ -35,12 +41,12 @@ class SourceParams:
     decay: float
 
     def __post_init__(self) -> None:
-        if self.lambda_rate < 0:
-            raise ValueError(f"lambda_rate must be >= 0, got {self.lambda_rate}")
-        if self.profit < 0:
-            raise ValueError(f"profit must be >= 0, got {self.profit}")
-        if self.decay <= 0:
-            raise ValueError(f"decay must be > 0, got {self.decay}")
+        if not (
+            0.0 <= self.lambda_rate < math.inf
+            and 0.0 <= self.profit < math.inf
+            and 0.0 < self.decay < math.inf
+        ):
+            raise ValueError(_source_error(self.lambda_rate, self.profit, self.decay))
 
     @property
     def utility(self) -> float:
@@ -55,6 +61,110 @@ class SourceParams:
         if self.lambda_rate == 0:
             return math.inf
         return self.profit / -math.expm1(-self.decay / self.lambda_rate)
+
+
+def _source_error(lambda_rate: float, profit: float, decay: float) -> "str | None":
+    """The error message for the first of SourceParams's rules that these
+    values break (each value finite, lambda_rate and profit >= 0, decay > 0),
+    or None when they break none."""
+    for name, value, least in (
+        ("lambda_rate", lambda_rate, ">= 0"),
+        ("profit", profit, ">= 0"),
+        ("decay", decay, "> 0"),
+    ):
+        if not math.isfinite(value):
+            return f"{name} must be finite, got {value}"
+        if value < 0 or (value == 0 and least == "> 0"):
+            return f"{name} must be {least}, got {value}"
+    return None
+
+
+class SourceRowError(ValueError):
+    """A SourceTable row breaks SourceParams's rules or repeats an earlier
+    row's id; ``row`` is its position in the columns as given."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+class SourceTable(Mapping):
+    """Parameters of many sources as columns: ``ids`` and the float64
+    columns ``lambda_rate``, ``profit`` and ``decay``, one row per source.
+
+    Every row obeys SourceParams's rules and no id repeats; the first row
+    that fails is reported as a SourceRowError with SourceParams's message,
+    or ``duplicate source id N``.  The columns are read-only copies.  As a
+    Mapping it reads like a dict of SourceParams in row order, building each
+    value on access; the solver reads the columns themselves.
+    """
+
+    def __init__(self, ids, lambda_rate, profit, decay):
+        self.ids = np.array(ids)
+        if self.ids.dtype.kind not in "iu":  # ids past 64 bits, or not integers
+            self.ids = np.array(ids, dtype=object)
+        self.lambda_rate, self.profit, self.decay = columns = [
+            np.array(column, dtype=np.float64) for column in (lambda_rate, profit, decay)
+        ]
+        n = len(self.ids)
+        if any(column.shape != (n,) for column in columns):
+            raise ValueError("ids and parameter columns must be 1-d and of one length")
+        for column in (self.ids, *columns):
+            column.flags.writeable = False
+
+        order = np.argsort(self.ids, kind="stable")
+        ordered = self.ids[order]
+        # rows that repeat an earlier row's id, and rows that break a rule
+        repeats = order[1:][np.flatnonzero(ordered[1:] == ordered[:-1])]
+        lam, profit, decay = columns
+        ok = (0.0 <= lam) & (lam < np.inf) & (0.0 <= profit) & (profit < np.inf)
+        ok &= (0.0 < decay) & (decay < np.inf)
+        bad = np.flatnonzero(~ok)
+        repeat = int(repeats.min()) if len(repeats) else n
+        row = int(bad[0]) if len(bad) else n
+        if repeat < n and repeat <= row:
+            raise SourceRowError(repeat, f"duplicate source id {self.ids.tolist()[repeat]}")
+        if row < n:
+            raise SourceRowError(row, _source_error(*(column[row].item() for column in columns)))
+
+    @classmethod
+    def from_params(cls, items: "Iterable[tuple[SourceId, SourceParams]]") -> "SourceTable":
+        """The table of (id, SourceParams) pairs, in their order."""
+        items = list(items)
+        return cls(
+            [sid for sid, _ in items],
+            [sp.lambda_rate for _, sp in items],
+            [sp.profit for _, sp in items],
+            [sp.decay for _, sp in items],
+        )
+
+    def utility(self) -> np.ndarray:
+        """SourceParams.utility of every row, equal to it bit for bit: the
+        ratio in numpy, then math.expm1 per element, since numpy's expm1 may
+        differ from it in the last bit."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = -self.decay / self.lambda_rate
+            expm1 = np.fromiter(map(math.expm1, ratio.tolist()), np.float64, len(ratio))
+            out = self.profit / -expm1
+        out[self.lambda_rate == 0.0] = math.inf
+        return out
+
+    @cached_property
+    def _rows(self) -> "dict[SourceId, int]":
+        return dict(zip(self.ids.tolist(), range(len(self.ids))))
+
+    @cached_property
+    def _cells(self) -> "list[tuple[float, float, float]]":
+        return list(zip(self.lambda_rate.tolist(), self.profit.tolist(), self.decay.tolist()))
+
+    def __getitem__(self, sid: SourceId) -> SourceParams:
+        return SourceParams(*self._cells[self._rows[sid]])
+
+    def __iter__(self) -> "Iterator[SourceId]":
+        return iter(self.ids.tolist())
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,7 +12,9 @@ parse every cell by its column's type, and report a malformed cell with its
 line number and column; a blank cell reads as None where its column may be
 blank.  Writers format every cell by its column's type, a None as a blank
 cell, and floats with repr() so values survive a round trip bit for bit and
-identical inputs produce identical bytes.
+identical inputs produce identical bytes.  ``read_params`` hands its cells
+to the solver as columns, in one ``core.SourceTable``; the first row that
+breaks SourceParams's rules or repeats an id is reported at its line.
 
 Configs are YAML mappings.  ``parse_experiment_config`` turns one into an
 ExperimentConfig: a scenario, the settings every run shares, and a (policy
@@ -44,6 +46,8 @@ from .core import (
     Seconds,
     SourceId,
     SourceParams,
+    SourceRowError,
+    SourceTable,
 )
 from .discovery import HostSnapshot, LinkCorpus
 from .optimizer import Schedule
@@ -555,19 +559,24 @@ def write_params(path, rows: Iterable[ParamsRow], meta: Mapping[str, object] = (
     write_table(path, "params", dict(meta), cells())
 
 
-def read_params(path) -> "tuple[list[tuple[SourceId, SourceParams]], dict[str, str]]":
-    items: "list[tuple[SourceId, SourceParams]]" = []
-    seen: "set[SourceId]" = set()
+def read_params(path) -> "tuple[SourceTable, dict[str, str]]":
+    """The sources of a params file as one SourceTable, and its header.
+
+    The cells go straight into columns.  The first row that breaks
+    SourceParams's rules or repeats an id is reported at its line."""
     with _Rows(path, "params") as table:
         meta = dict(table.meta)
-        for sid, lam, profit, decay, _pages, _clicks, _fitted in table:
-            if sid in seen:
-                raise table.fail(f"duplicate source id {sid}")
-            seen.add(sid)
-            items.append((sid, table.build(SourceParams, lam, profit, decay)))
-    if not items:
+        rows = list(table)
+    if not rows:
         raise FileFormatError(path, 2, "params file has no sources")
-    return items, meta
+    ids, lam, profit, decay = ([row[i] for row in rows] for i in range(4))
+    try:
+        return SourceTable(ids, lam, profit, decay), meta
+    except SourceRowError as exc:
+        with _Rows(path, "params") as table:
+            for _ in zip(range(exc.row + 1), table):
+                pass
+            raise table.fail(str(exc)) from None
 
 
 def write_schedule(path, schedule: Schedule, epsilon: float) -> None:

@@ -39,6 +39,11 @@ inside the segment.
 Each residual evaluation inverts g for all kept sources at once, by Newton
 from the asymptotic root, and stops once stationarity holds and the summed
 recrawl rate is resolved to a tenth of epsilon.
+
+The solver reads its sources as the columns of a core.SourceTable, and
+turns a Mapping or a sequence of (id, params) pairs into one, so no
+per-source object is built on the way.  It sorts the table by id first, so
+tied utilities break in id order whatever order the rows come in.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import SourceId, SourceParams
+from .core import SourceId, SourceParams, SourceTable
 
 logger = logging.getLogger(__name__)
 
@@ -293,47 +298,39 @@ class _Sources:
 
 
 def solve_schedule(
-    sources: "Mapping[SourceId, SourceParams] | Sequence[tuple[SourceId, SourceParams]]",
+    sources: "SourceTable | Mapping[SourceId, SourceParams] | Sequence[tuple[SourceId, SourceParams]]",
     budget: float,
     config: SolverConfig | None = None,
 ) -> Schedule:
     """Find optimal recrawl intervals for the given budget.
 
-    Sources with lambda = 0 or negligible utility are assigned infinite
-    intervals up front.  Raises ScheduleInfeasibleError when the budget
-    cannot be met even with a single source kept, NoConvergenceError when
-    the Newton search inside a segment cannot meet epsilon.
+    A Mapping or a sequence of (id, params) pairs is read as a SourceTable;
+    a repeated id raises ValueError.  Sources with lambda = 0 or negligible
+    utility are assigned infinite intervals up front.  Raises
+    ScheduleInfeasibleError when the budget cannot be met even with a single
+    source kept, NoConvergenceError when the Newton search inside a segment
+    cannot meet epsilon.
     """
     eps = (config or SolverConfig()).epsilon
-    items = list(sources.items()) if isinstance(sources, Mapping) else list(sources)
-    if not items:
+    if not isinstance(sources, SourceTable):
+        pairs = sources.items() if isinstance(sources, Mapping) else sources
+        sources = SourceTable.from_params(pairs)
+    if not len(sources):
         raise ValueError("solve_schedule needs at least one source")
     if not 0.0 < budget < math.inf:
         raise ValueError(f"budget must be finite and > 0, got {budget}")
 
-    items.sort(key=lambda kv: kv[0])
-    intervals: dict[SourceId, float] = {}
-    ids: list[SourceId] = []
-    utility: list[float] = []
-    mu: list[float] = []
-    lam: list[float] = []
-    for sid, sp in items:
-        p = sp.utility
-        if sp.lambda_rate <= 0.0 or sp.profit <= 0.0 or p <= _UTILITY_FLOOR:
-            intervals[sid] = math.inf
-            continue
-        ids.append(sid)
-        utility.append(p)
-        mu.append(sp.decay)
-        lam.append(sp.lambda_rate)
-
-    if not ids:
+    by_id = np.argsort(sources.ids, kind="stable")
+    ids = sources.ids[by_id]
+    utility = sources.utility()[by_id]
+    lam = sources.lambda_rate[by_id]
+    keep = (lam > 0.0) & (sources.profit[by_id] > 0.0) & (utility > _UTILITY_FLOOR)
+    intervals: dict[SourceId, float] = dict.fromkeys(ids[~keep].tolist(), math.inf)
+    if not keep.any():
         raise ScheduleInfeasibleError("no schedulable sources (all pre-filtered)", budget)
 
-    src = _Sources(ids, np.asarray(utility), np.asarray(mu), np.asarray(lam))
-    # Only src's sorted copies are read from here on: free the per-source
-    # lists (about 5 MB at 10^5 sources) before the search allocates.
-    del utility, mu, lam
+    ids = ids[keep].tolist()
+    src = _Sources(ids, utility[keep], sources.decay[by_id][keep], lam[keep])
     pinched: set[SourceId] = set()
 
     def solution(omega, res, x, extra: "Mapping[int, float] | None" = None) -> Schedule:

@@ -122,8 +122,8 @@ class TestTableRoundTrips:
         ]
         path = tmp_path / "params.csv"
         fileio.write_params(path, rows, {"t_push": 1.5})
-        items, meta = fileio.read_params(path)
-        assert items == [(r.source_id, r.params) for r in rows]
+        sources, meta = fileio.read_params(path)
+        assert list(sources.items()) == [(r.source_id, r.params) for r in rows]
         assert meta["t_push"] == "1.5"
 
     def test_schedule_round_trip_with_infinity(self, tmp_path):
@@ -636,9 +636,9 @@ class TestRunAndReportCommands:
 class TestFitAndScheduleCommands:
     def test_fit_then_schedule_round_trip(self, clicklog, tmp_path):
         assert cli.main(["fit", str(clicklog), "--out", str(tmp_path), "--quiet"]) == 0
-        items, _ = fileio.read_params(tmp_path / "params.csv")
-        assert [sid for sid, _ in items] == [0, 1]
-        for _, params in items:
+        sources, _ = fileio.read_params(tmp_path / "params.csv")
+        assert list(sources) == [0, 1]
+        for params in sources.values():
             assert params.lambda_rate > 0
         code = cli.main(
             [
@@ -709,6 +709,18 @@ class TestFitAndScheduleCommands:
         assert code == cli.EXIT_SOLVER
         assert "residual" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_schedule_rejects_non_finite_params(self, tmp_path, capsys, cell):
+        params = tmp_path / "p.csv"
+        params.write_text(
+            "# echocrawl-params-v1\nsource_id,lambda_rate,profit,decay\n"
+            f"0,{cell},1.0,0.001\n1,0.001,1.0,0.0001\n"
+        )
+        argv = ["schedule", str(params), "--budget", "0.01", "--out", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_IO
+        assert f"p.csv:3: lambda_rate must be finite, got {cell}" in capsys.readouterr().err
+        assert not (tmp_path / "schedule.csv").exists()
+
     @pytest.mark.parametrize(
         "option",
         ["--budget=nan", "--budget=inf", "--budget=-inf", "--budget=0", "--epsilon=nan"]
@@ -754,13 +766,13 @@ class TestFitAndScheduleCommands:
         # one fit path: each fitted row is fit_profit_curve on the source's
         # histogram, with no decay floor
         assert cli.main(["fit", str(clicklog), "--out", str(tmp_path), "--quiet"]) == 0
-        items, _ = fileio.read_params(tmp_path / "params.csv")
+        sources, _ = fileio.read_params(tmp_path / "params.csv")
         log = fileio.read_click_log(clicklog)
         state = EstimatorState()
         for pid in sorted(log.pages):
             state.register_page(pid, *log.pages[pid])
         state.push_logs(log.clicks, max(t for _, t in log.clicks))
-        for sid, params in items:
+        for sid, params in sources.items():
             curve = fit_profit_curve(state.histogram(sid))
             assert (params.profit, params.decay) == (curve.profit, curve.decay)
 

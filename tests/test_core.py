@@ -6,6 +6,7 @@ forms (independent of the float implementation under test).
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -16,6 +17,8 @@ from echocrawl.core import (
     ProfitCurve,
     RecrawlSource,
     SourceParams,
+    SourceRowError,
+    SourceTable,
     dynamic_quality,
     overall_quality,
     profit_at,
@@ -85,6 +88,87 @@ class TestSourceParams:
             SourceParams(0.1, -1.0, 0.001)
         with pytest.raises(ValueError):
             SourceParams(0.1, 1.0, 0.0)
+
+    @pytest.mark.parametrize("field", ["lambda_rate", "profit", "decay"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        values = {"lambda_rate": 0.1, "profit": 1.0, "decay": 0.001, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            SourceParams(**values)
+
+
+# rows of (lambda_rate, profit, decay) that break one of SourceParams's rules
+BAD_ROWS = [
+    (-0.5, 1.0, 0.001),
+    (0.5, -1.0, 0.001),
+    (0.5, 1.0, 0.0),
+    (0.5, 1.0, -0.001),
+    (math.nan, 1.0, 0.001),
+    (0.5, math.inf, 0.001),
+    (0.5, 1.0, math.nan),
+    (-0.5, math.nan, 0.0),
+]
+
+
+class TestSourceTable:
+    def test_utility_is_source_params_utility_bit_for_bit(self):
+        # math.expm1 per element: numpy's expm1 differs from it in the last
+        # bit on part of (-1, 0], which would move omega and the intervals
+        rng = np.random.default_rng(7)
+        ratio = 10.0 ** rng.uniform(-8.0, math.log10(700.0), 20_000)
+        lam = 10.0 ** rng.uniform(-6.0, 0.0, len(ratio))
+        params = [
+            SourceParams(float(l), float(p), float(r * l))
+            for l, p, r in zip(lam, 10.0 ** rng.uniform(-2.0, 2.0, len(ratio)), ratio)
+        ]
+        params += [SourceParams(0.0, 1.0, 0.001), SourceParams(0.01, 0.0, 0.001)]
+        table = SourceTable.from_params(enumerate(params))
+        assert table.utility().tolist() == [sp.utility for sp in params]
+
+    @pytest.mark.parametrize("row", BAD_ROWS)
+    def test_rules_and_messages_are_source_params(self, row):
+        with pytest.raises(ValueError) as expected:
+            SourceParams(*row)
+        rows = [(0.5, 1.0, 0.001), (0.0, 0.0, 1.0), row, (-1.0, 1.0, 0.001)]
+        with pytest.raises(SourceRowError) as err:
+            SourceTable([3, 1, 2, 0], *zip(*rows))
+        assert (err.value.row, str(err.value)) == (2, str(expected.value))
+
+    def test_repeated_id_reported_at_its_second_row(self):
+        good = (0.5, 1.0, 0.001)
+        with pytest.raises(SourceRowError, match="^duplicate source id 7$") as err:
+            SourceTable([7, 2, 7, 2], *zip(good, good, good, good))
+        assert err.value.row == 2
+        # on one row a repeated id is reported before a broken rule, as the
+        # params reader reports it; an earlier broken rule comes first
+        with pytest.raises(SourceRowError, match="^duplicate source id 7$"):
+            SourceTable([7, 7], *zip(good, (0.5, 1.0, 0.0)))
+        with pytest.raises(SourceRowError, match="^decay must be > 0") as err:
+            SourceTable([7, 8, 7], *zip(good, (0.5, 1.0, 0.0), good))
+        assert err.value.row == 1
+
+    def test_columns_of_one_length(self):
+        with pytest.raises(ValueError, match="of one length"):
+            SourceTable([0, 1], [0.5, 0.5], [1.0], [0.001, 0.001])
+
+    def test_is_a_read_only_mapping_of_source_params(self):
+        params = {5: SourceParams(0.5, 1.0, 0.001), 2: SourceParams(0.0, 3.0, 1e-5)}
+        table = SourceTable.from_params(params.items())
+        assert dict(table) == params
+        assert list(table) == [5, 2]
+        assert len(table) == 2 and 2 in table and 3 not in table
+        with pytest.raises(KeyError):
+            table[3]
+        with pytest.raises(ValueError):
+            table.decay[0] = -1.0
+
+    @pytest.mark.parametrize("ids", [[2**63, 5], [2**70, -1], [-(2**63) - 1, 2**64]])
+    def test_ids_past_64_bits_keep_their_value(self, ids):
+        sp = SourceParams(0.5, 1.0, 0.001)
+        table = SourceTable.from_params((sid, sp) for sid in ids)
+        assert list(table) == ids and all(type(sid) is int for sid in table)
+        with pytest.raises(SourceRowError, match=f"^duplicate source id {ids[0]}$"):
+            SourceTable.from_params((sid, sp) for sid in ids + ids[:1])
 
 
 class TestCrawlRecord:

@@ -160,8 +160,8 @@ class TestRoundTrips:
     def test_params(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("rt") / "params.csv"
         fileio.write_params(path, rows, {"t_push": 1.5})
-        items, _ = fileio.read_params(path)
-        assert items == [(row.source_id, row.params) for row in rows]
+        sources, _ = fileio.read_params(path)
+        assert list(sources.items()) == [(row.source_id, row.params) for row in rows]
         assert rewrite_is_identical(path, "params")
 
     @SETTINGS
@@ -269,9 +269,41 @@ class TestCellErrors:
         with pytest.raises(fileio.FileFormatError, match="bad.csv:4: lambda_rate must be >= 0"):
             fileio.read_scenario(path)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["0,0.5,1.0,0.001"], "p.csv:4: duplicate source id 0"),
+            (["2,-0.5,1.0,0.001"], "p.csv:4: lambda_rate must be >= 0, got -0.5"),
+            (["2,0.5,1.0,0.0"], "p.csv:4: decay must be > 0, got 0.0"),
+            (["", "2,0.5,-1.0,0.001"], "p.csv:5: profit must be >= 0, got -1.0"),
+            (["1,0.5,1.0,0.0", "0,0.5,1.0,0.001"], "p.csv:4: decay must be > 0, got 0.0"),
+            (["0,0.5,1.0,0.0"], "p.csv:4: duplicate source id 0"),
+        ],
+    )
+    def test_params_value_errors_report_their_line(self, tmp_path, rows, message):
+        path = table_file(tmp_path / "p.csv", "params", "0,0.5,1.0,0.001", *rows, "3,1,1,1")
+        with pytest.raises(fileio.FileFormatError) as err:
+            fileio.read_params(path)
+        assert str(err.value).endswith(message)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2,nan,1.0,0.001", "lambda_rate must be finite, got nan"),
+            ("2,0.5,inf,0.001", "profit must be finite, got inf"),
+            ("2,-0.5,nan,0.001", "lambda_rate must be >= 0, got -0.5"),
+            ("2,0.5,1.0,-inf", "decay must be finite, got -inf"),
+        ],
+    )
+    def test_params_non_finite_values_report_their_line(self, tmp_path, row, message):
+        path = table_file(tmp_path / "p.csv", "params", "0,0.5,1.0,0.001", row, "3,1,1,1")
+        with pytest.raises(fileio.FileFormatError) as err:
+            fileio.read_params(path)
+        assert str(err.value).endswith(f"p.csv:4: {message}")
+
     def test_params_take_four_to_seven_cells(self, tmp_path):
         path = table_file(tmp_path / "p.csv", "params", "0,0.5,1.0,0.001", "1,0.5,1.0,0.001,3")
-        assert [sid for sid, _ in fileio.read_params(path)[0]] == [0, 1]
+        assert list(fileio.read_params(path)[0]) == [0, 1]
         for row in ("2,0.5,1.0", "2,0.5,1.0,0.001,3,1,yes,9"):
             table_file(path, "params", "0,0.5,1.0,0.001", row)
             with pytest.raises(fileio.FileFormatError, match="p.csv:4: expected 4 to 7 cells"):

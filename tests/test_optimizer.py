@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from echocrawl import fileio, optimizer
-from echocrawl.core import SourceParams
+from echocrawl.core import SourceParams, SourceTable
 from echocrawl.optimizer import (
     NoConvergenceError,
     ScheduleInfeasibleError,
@@ -34,8 +34,8 @@ FOUND1_BUDGET = 0.003681
 
 
 def found1_params():
-    items, _ = fileio.read_params(FOUND1_PARAMS)
-    return dict(items)
+    sources, _ = fileio.read_params(FOUND1_PARAMS)
+    return dict(sources)
 
 
 def preset_mix():
@@ -421,6 +421,54 @@ class TestScheduleInvariants:
         for epsilon in [0.0, -1e-6, math.nan, math.inf]:
             with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
                 SolverConfig(epsilon=epsilon)
+
+
+def same_schedule(a, b):
+    return (a.intervals, a.omega, a.residual, a.pinched) == (
+        b.intervals, b.omega, b.residual, b.pinched
+    )
+
+
+class TestTableInput:
+    """A SourceTable, its dict and its pairs in any order solve alike."""
+
+    def check_forms(self, table, budget):
+        sched = solve_schedule(table, budget)
+        assert same_schedule(sched, solve_schedule(dict(table), budget))
+        assert same_schedule(sched, solve_schedule(list(table.items())[::-1], budget))
+        return sched
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            params, budget = random_instance(rng, max_n=20)
+            self.check_forms(SourceTable.from_params(params.items()), budget)
+
+    def test_found1(self):
+        table, _ = fileio.read_params(FOUND1_PARAMS)
+        sched = self.check_forms(table, FOUND1_BUDGET)
+        assert sched.pinched
+
+    def test_file_with_ids_out_of_order_and_tied_utilities(self, tmp_path):
+        # Tied utilities break in id order whatever the row order: the
+        # sources pinched at a starved budget are those of the id-sorted dict.
+        params = preset_mix()
+        rows = list(params.items())
+        np.random.default_rng(1).shuffle(rows)
+        path = tmp_path / "params.csv"
+        fileio.write_params(path, [fileio.ParamsRow(sid, sp) for sid, sp in rows])
+        table, _ = fileio.read_params(path)
+        assert list(table) != sorted(table)
+        budget = 0.5 * sum(sp.lambda_rate for sp in params.values())
+        sched = self.check_forms(table, budget)
+        assert sched.pinched
+        assert same_schedule(sched, solve_schedule(params, budget))
+
+    def test_repeated_ids_rejected(self):
+        a = SourceParams(0.01, 5.0, 1e-3)
+        b = SourceParams(0.02, 1.0, 1e-3)
+        with pytest.raises(ValueError, match="duplicate source id 0"):
+            solve_schedule([(0, a), (0, b), (1, a)], 0.05)
 
 
 class TestClosedFormQuality:
