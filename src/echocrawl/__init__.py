@@ -35,6 +35,7 @@ from .estimators import (
     EstimatorState,
     estimate_lambda,
     fit_profit_curve,
+    posterior_rate,
 )
 from .fileio import (
     ConfigError,
@@ -86,6 +87,7 @@ __all__ = [
     "EstimatorState",
     "estimate_lambda",
     "fit_profit_curve",
+    "posterior_rate",
     "ConfigError",
     "ExperimentConfig",
     "FileFormatError",

@@ -30,7 +30,7 @@ from importlib import resources
 from pathlib import Path
 
 from .discovery import DEFAULT_MIN_SOURCE_AGE, find_content_sources, greedy_source_cover
-from .estimators import EstimatorState, fit_profit_curve
+from .estimators import EstimatorState, fit_profit_curve, posterior_rate
 from .optimizer import (
     NoConvergenceError,
     ScheduleInfeasibleError,
@@ -168,17 +168,14 @@ def cmd_run(args) -> int:
             )
         seeds = (scenario.config.seed,)
         batches = [_execute_seed(scenario, config, scenario.config.seed, outdir)]
-    elif args.jobs > 1:
-        seeds = config.seeds
-        payloads = [(config, seed, str(outdir)) for seed in seeds]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            batches = list(pool.map(_seed_worker, payloads))
     else:
         seeds = config.seeds
-        batches = []
-        for seed in seeds:
-            scenario = generate_scenario(dataclasses.replace(config.scenario, seed=seed))
-            batches.append(_execute_seed(scenario, config, seed, outdir))
+        payloads = [(config, seed, str(outdir)) for seed in seeds]
+        if args.jobs > 1:
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                batches = list(pool.map(_seed_worker, payloads))
+        else:
+            batches = list(map(_seed_worker, payloads))
     total = 0
     for batch in batches:
         for policy, budget, seed, quality in batch:
@@ -211,12 +208,10 @@ def cmd_fit(args) -> int:
 
     rows = []
     for sid in log.sources:
-        creations = sorted(created_by_source[sid])
-        span = creations[-1] - creations[0]
-        if len(creations) >= 2 and span > 0:
-            lam = (len(creations) - 1) / span
-        else:
-            lam = state.default_lambda
+        # n - 1 arrivals after the first page (a CrawlHistoryWindow rejects ties)
+        creations = created_by_source[sid]
+        span = max(creations) - min(creations)
+        lam = posterior_rate(len(creations) - 1, span, state.default_lambda)
         hist = state.histogram(sid)
         clicks = hist.cumulative[-1] if hist.cumulative else 0
         fitted = hist.page_count > 0 and clicks > 0 and len(hist.cumulative) >= 2
@@ -486,6 +481,9 @@ def main(argv: "list[str] | None" = None) -> int:
     except FileFormatError as exc:
         print(f"file format error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (ScheduleInfeasibleError, NoConvergenceError) as exc:  # a crawl's first solve
+        print(f"solve failed: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -63,13 +63,16 @@ class SourceParams:
         return self.profit / -math.expm1(-self.decay / self.lambda_rate)
 
 
-def _source_error(lambda_rate: float, profit: float, decay: float) -> "str | None":
+def _source_error(
+    lambda_rate: float, profit: float, decay: float, profit_name: str = "profit"
+) -> "str | None":
     """The error message for the first of SourceParams's rules that these
     values break (each value finite, lambda_rate and profit >= 0, decay > 0),
-    or None when they break none."""
+    or None when they break none.  The message calls the profit
+    ``profit_name``."""
     for name, value, least in (
         ("lambda_rate", lambda_rate, ">= 0"),
-        ("profit", profit, ">= 0"),
+        (profit_name, profit, ">= 0"),
         ("decay", decay, "> 0"),
     ):
         if not math.isfinite(value):

@@ -6,8 +6,11 @@ Three per-source quantities feed the interval solver:
   a click histogram by variable projection: the best P for a given mu is
   closed form, so the fit is an exact one-dimensional search over mu
   (fit_profit_curve),
-- lambda: the new-page rate, estimated from the link counts of the most
-  recent recrawls of the source.
+- lambda: the new-page rate, a Gamma posterior mean over the arrivals seen
+  after a first observation (posterior_rate): new links of the recrawls
+  after the first in a source's recent window online, page creations after
+  the first in the CLI's fit.  It is the default before any data and never
+  0, so a source whose recrawls come back empty is still recrawled.
 
 EstimatorState owns all of it: it routes click events to the right source's
 histogram, keeps a sliding crawl-history window per source, and hands the
@@ -114,9 +117,6 @@ class CrawlHistoryWindow:
         object.__setattr__(window, "entries", (*self.entries[1 - self.capacity :], entry))
         return window
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 def fit_objective(
     hist: ClickHistogram, profit: float, decay: float
@@ -208,25 +208,35 @@ def fit_profit_curve(
     return ProfitCurve(float(best[1]), float(best[2]))
 
 
+def posterior_rate(arrivals: float, span: Seconds, default: float) -> float:
+    """Posterior mean rate of a Poisson process with `arrivals` arrivals in
+    `span` seconds, under a Gamma prior of one arrival in 1 / default
+    seconds: (1 + arrivals) / (1 / default + span).
+
+    Written as (1 + arrivals) default / (1 + default span), it is `default`
+    exactly before any data; for a finite default > 0 it is never 0 or inf.
+    """
+    return (1.0 + arrivals) * default / (1.0 + default * span)
+
+
 def estimate_lambda(
     window: CrawlHistoryWindow,
     now: Seconds | None = None,
     default: float = DEFAULT_LAMBDA,
 ) -> float:
-    """New-link rate: total links in the window over first-to-last crawl time.
+    """New-link rate of the window's visible entries, by posterior_rate.
 
-    Entries after `now` are ignored (feedback from the future).  With fewer
-    than two visible entries there is no elapsed time to divide by, so the
-    configured default rate is returned.
+    The arrivals are the links found by the entries after the first, over
+    the first-to-last crawl span: the first entry's links appeared before
+    the window began, so counting them would bias the rate upward.  Entries
+    after `now` are ignored (feedback from the future).  With fewer than
+    two visible entries there is no data, and the rate is `default`.
     """
-    entries = window.entries
-    if now is not None:
-        entries = tuple(e for e in entries if e[0] <= now)
+    entries = [e for e in window.entries if now is None or e[0] <= now]
     if len(entries) < 2:
         return default
-    elapsed = entries[-1][0] - entries[0][0]
-    total = sum(n for _, n in entries)
-    return total / elapsed
+    arrivals = sum(n for _, n in entries[1:])
+    return posterior_rate(arrivals, entries[-1][0] - entries[0][0], default)
 
 
 @dataclass
@@ -240,7 +250,6 @@ class _SourceTrack:
     page_count: int = 0
     fitted: ProfitCurve | None = None
     clicks_at_fit: int = 0
-    silent_since: float | None = None  # start of the current zero-link streak
 
 
 class EstimatorState:
@@ -263,10 +272,19 @@ class EstimatorState:
         refit_growth: float = 0.10,
         refit_min_clicks: int = 40,
     ):
-        if bin_size <= 0:
-            raise ValueError("bin_size must be > 0")
-        if max_click_age <= 0:
-            raise ValueError("max_click_age must be > 0")
+        if not 0.0 < bin_size < math.inf:
+            raise ValueError(f"bin_size must be finite and > 0, got {bin_size}")
+        if not max_click_age > 0.0:
+            raise ValueError(f"max_click_age must be > 0, got {max_click_age}")
+        if history_capacity < 2:
+            raise ValueError(f"history_capacity must be >= 2, got {history_capacity}")
+        # a default_lambda of 0 would give every silent source a zero rate
+        if not 0.0 <= default_profit < math.inf:
+            raise ValueError(f"default_profit must be finite and >= 0, got {default_profit}")
+        if not 0.0 < default_decay < math.inf:
+            raise ValueError(f"default_decay must be finite and > 0, got {default_decay}")
+        if not 0.0 < default_lambda < math.inf:
+            raise ValueError(f"default_lambda must be finite and > 0, got {default_lambda}")
         self.bin_size = float(bin_size)
         self.history_capacity = int(history_capacity)
         self.max_click_age = float(max_click_age)
@@ -301,10 +319,6 @@ class EstimatorState:
         """Log a recrawl of `source` that surfaced `new_links` new pages."""
         track = self._track(source)
         track.window = track.window.record(time, new_links)
-        if new_links > 0:
-            track.silent_since = None
-        elif track.silent_since is None:
-            track.silent_since = float(time)
 
     def push_logs(
         self,
@@ -356,31 +370,6 @@ class EstimatorState:
             return self.default_profit
         return track.total_clicks / track.page_count
 
-    def link_rate(self, source: SourceId, now: Seconds) -> float:
-        """lambda-hat for one source, floored so silence is never terminal.
-
-        A window of recrawls that all found nothing estimates a rate of zero,
-        and a zero rate would drop the source from every schedule, so it
-        would never be recrawled and could never recover.  Instead such a
-        source is credited at most one link since its zero streak began,
-        capped at the prior default: the implied probe rate backs off as the
-        silence stretches, but never hits zero.  The streak start rather than
-        the window span anchors the backoff because rapid recrawls churn the
-        window and would keep its span, and hence the floor, artificially
-        high forever.
-        """
-        track = self._track(source)
-        rate = estimate_lambda(track.window, now, self.default_lambda)
-        if rate > 0.0 or len(track.window) < 2:
-            return rate
-        since = track.silent_since
-        if since is None:  # zero window implies an active streak; be safe
-            since = track.window.entries[0][0]
-        span = now - since
-        if span <= 0.0:
-            return self.default_lambda
-        return min(1.0 / span, self.default_lambda)
-
     def value_rates(self, now: Seconds) -> "dict[SourceId, float]":
         """Expected clicks per second of new content, lambda-hat * avg clicks/page.
 
@@ -388,7 +377,8 @@ class EstimatorState:
         value-driven policies can be refreshed more often than schedules.
         """
         return {
-            source: self.link_rate(source, now) * self.average_profit(source)
+            source: estimate_lambda(self._tracks[source].window, now, self.default_lambda)
+            * self.average_profit(source)
             for source in sorted(self._tracks)
         }
 
@@ -411,16 +401,13 @@ class EstimatorState:
         """Best-known (lambda, P, mu) per source at time `now`.
 
         Sources lacking click feedback keep the default curve; sources with
-        fewer than two recorded recrawls keep the default new-link rate.
+        fewer than two recorded recrawls keep the default new-link rate, and
+        the others get estimate_lambda's posterior rate, which is never 0.
         """
         snapshot: "dict[SourceId, SourceParams]" = {}
         for source in sorted(self._tracks):
             track = self._tracks[source]
-            rate = self.link_rate(source, now)
+            rate = estimate_lambda(track.window, now, self.default_lambda)
             curve = self._curve(source, track)
-            profit = curve.profit
-            decay = curve.decay
-            snapshot[source] = SourceParams(
-                lambda_rate=rate, profit=profit, decay=decay
-            )
+            snapshot[source] = SourceParams(rate, curve.profit, curve.decay)
         return snapshot

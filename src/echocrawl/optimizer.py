@@ -82,22 +82,27 @@ _MAX_INNER_STEPS = 8
 _MAX_ITERATIONS = 200
 
 
-class ScheduleInfeasibleError(ValueError):
-    """Budget cannot be met even with all but one source dropped."""
+class _SolveError(Exception):
+    """A failed solve and its final budget residual.  The constructor's
+    arguments are the exception's args, so it pickles: a crawl in a worker
+    process raises it to the parent."""
 
     def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual {residual:.6g} fetches/s)")
+        super().__init__(message, residual)
         self.residual = residual
 
+    def __str__(self) -> str:
+        return f"{self.args[0]} (residual {self.residual:.6g} fetches/s)"
 
-class NoConvergenceError(RuntimeError):
+
+class ScheduleInfeasibleError(_SolveError, ValueError):
+    """Budget cannot be met even with all but one source dropped."""
+
+
+class NoConvergenceError(_SolveError, RuntimeError):
     """The Newton search for omega in a smooth segment hit its iteration cap,
     or its bracket collapsed to a few ulps of omega, before the residual met
     epsilon: epsilon is below what the floating point residual resolves."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual {residual:.6g} fetches/s)")
-        self.residual = residual
 
 
 @dataclass(frozen=True, slots=True)

@@ -237,7 +237,9 @@ class EchoGreedyPolicy(CrawlPolicy):
 
     value_rate is the estimated new-page rate times the source's average
     observed clicks per page, refreshed by the crawl loop on every logs
-    push.  A zero value rate scores 0 whatever the elapsed time, so a
+    push.  The rate estimate is never 0, so a value rate is 0 only before
+    the first push or while none of the source's pages has drawn a click.
+    A zero value rate scores 0 whatever the elapsed time, so a
     never-crawled source outranks every crawled one only once its value
     rate is positive; until then it waits behind every source with a
     positive score.  Ties on score go to the longest elapsed time, so

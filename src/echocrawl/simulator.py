@@ -28,6 +28,7 @@ from .core import (
     RecrawlSource,
     Seconds,
     SourceId,
+    _source_error,
     total_realized_profit,
     quality_series,
     validate_trace,
@@ -60,6 +61,8 @@ class SourceSpec:
     lambda_rate  mean page creations per second (base rate before modulation)
     profit_mean  mean total clicks per page (P)
     decay        click intensity decay rate per second of page age (mu)
+
+    Each value must be finite, as in SourceParams.
     """
 
     lambda_rate: float
@@ -67,12 +70,9 @@ class SourceSpec:
     decay: float
 
     def __post_init__(self) -> None:
-        if self.lambda_rate < 0:
-            raise ValueError(f"lambda_rate must be >= 0, got {self.lambda_rate}")
-        if self.profit_mean < 0:
-            raise ValueError(f"profit_mean must be >= 0, got {self.profit_mean}")
-        if self.decay <= 0:
-            raise ValueError(f"decay must be > 0, got {self.decay}")
+        error = _source_error(self.lambda_rate, self.profit_mean, self.decay, "profit_mean")
+        if error is not None:
+            raise ValueError(error)
 
 
 @dataclass(frozen=True)
@@ -163,8 +163,9 @@ class PageGroundTruth:
 class Scenario:
     """Generated ground truth: link events, page click histories, config.
 
-    clicks is every (time, page) click event in time order, precomputed so
-    repeated runs over the same scenario can stream log pushes cheaply.
+    clicks is every (time, page) click event of pages, in time order.  run
+    does not read it: it queues a page's clicks from pages once the page is
+    discovered.
     """
 
     config: ScenarioConfig
@@ -377,9 +378,10 @@ def run(
     The crawler gets one fetch per slot of 1 / budget seconds.  Before each
     decision, any due log batches are pushed into the estimator and any due
     reschedules re-solve the policy's schedule from current estimates (a
-    failed solve keeps the previous schedule).  Recrawling a source reveals
-    the currently listed links; fetching a page realizes its clicks from
-    that moment on.  Fetching an unknown or already-fetched page aborts the
+    failed solve keeps the previous schedule; a failure before the first
+    success raises the solver's error, as there is no schedule to keep).
+    Recrawling a source reveals the currently listed links; fetching a page
+    realizes its clicks from that moment on.  Fetching an unknown or already-fetched page aborts the
     run: that is a policy bug, not a valid strategy.
 
     A pre-built policy instance overrides config.policy; the report then
@@ -441,6 +443,8 @@ def run(
             try:
                 policy.set_schedule(solve_schedule(params, budget))
             except (ScheduleInfeasibleError, NoConvergenceError) as exc:
+                if policy.schedule is None:  # no previous schedule to keep
+                    raise
                 # keep steering by the previous schedule until estimates improve
                 schedule_failures += 1
                 logger.debug("reschedule at t=%.0f failed: %s", t, exc)

@@ -388,6 +388,16 @@ class TestConfigReader:
             ("fit: {default_decay: 1e-6}", "fit.default_decay: expected a number, got '1e-6'"),
             ("fit: {bin_size: true}", "fit.bin_size: expected a number, got True"),
             ("fit: {history_capacity: 3}", "fit.history_capacity: unknown key"),
+            ("fit: {bin_size: .nan}", "fit: bin_size must be finite and > 0, got nan"),
+            ("fit: {default_lambda: 0.0}", "fit: default_lambda must be finite and > 0, got 0.0"),
+            ("fit: {default_lambda: .inf}", "fit: default_lambda must be finite and > 0, got inf"),
+            ("fit: {default_decay: 0.0}", "fit: default_decay must be finite and > 0, got 0.0"),
+            ("fit: {default_decay: .nan}", "fit: default_decay must be finite and > 0, got nan"),
+            (
+                "fit: {default_profit: -1.0}",
+                "fit: default_profit must be finite and >= 0, got -1.0",
+            ),
+            ("fit: {default_profit: .inf}", "fit: default_profit must be finite and >= 0, got inf"),
         ],
     )
     def test_fit_errors_name_the_key(self, text, message, clicklog, tmp_path, capsys):
@@ -435,6 +445,22 @@ class TestGenerateCommand:
 
     def test_missing_config_is_config_error(self):
         assert cli.main(["generate", "--quiet"]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("lambda_rate", math.nan), ("lambda_rate", math.inf), ("profit_mean", math.inf)]
+        + [("decay", math.inf)],
+    )
+    def test_non_finite_source_is_config_error(self, tmp_path, capsys, key, value):
+        node = yaml.safe_load(TINY_CONFIG.format(out=tmp_path))
+        node["scenario"]["sources"][0][key] = value
+        config = tmp_path / "bad.yaml"
+        config.write_text(yaml.safe_dump(node))
+        argv = ["generate", "--config", str(config), "--out", str(tmp_path), "--quiet"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        message = f"scenario.sources[0]: {key} must be finite, got {value}"
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "scenario_s0.csv").exists()
 
 
 @pytest.fixture(scope="module")
@@ -515,6 +541,35 @@ class TestRunAndReportCommands:
         assert code == 0
         name = "bfs_b0.02_s1.report.csv"
         assert (out / name).read_bytes() == (grid / "out" / name).read_bytes()
+
+    def test_jobs_write_the_files_of_a_serial_run(self, grid, tmp_path):
+        files = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            argv = ["run", "--config", str(grid / "tiny.yaml"), "--jobs", jobs, "--out", str(out)]
+            assert cli.main([*argv, "--quiet"]) == 0
+            files[jobs] = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert len(files["1"]) == 12  # 2 policies x 1 budget x 2 seeds x 3 files
+        assert files["2"] == files["1"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_first_solve_exits_3(self, tmp_path, capsys, jobs):
+        # one source whose prior rate (1/3600) alone exceeds the budget: the
+        # first solve fails, and the crawl has no schedule to keep
+        node = {
+            "scenario": {
+                "horizon": 86400.0,
+                "sources": [{"lambda_rate": 1 / 3600, "profit_mean": 1.0, "decay": 1e-4}],
+            },
+            "policies": ["echo-schedule"],
+            "budgets": [1e-4],
+            "seeds": [0, 1],
+            "out": str(tmp_path / "out"),
+        }
+        config = tmp_path / "starved.yaml"
+        config.write_text(yaml.safe_dump(node))
+        assert cli.main(["run", "--config", str(config), "--jobs", jobs]) == cli.EXIT_SOLVER
+        assert "budget infeasible" in capsys.readouterr().err
 
     def test_report_aggregates_and_emits_series(self, grid):
         out = grid / "rep"
@@ -784,6 +839,28 @@ class TestFitAndScheduleCommands:
         assert cli.main(args) == cli.EXIT_CONFIG
         config.write_text("fit: {bin_size: 600.0}\n")
         assert cli.main(args) == 0
+
+    # 1 / (1 / 0.0031) != 0.0031 in doubles: a one-page source must still
+    # get the default exactly
+    @pytest.mark.parametrize("default", [None, 0.0031])
+    def test_fit_lambda_is_the_posterior_rate(self, tmp_path, default):
+        # source 0: three pages over 1900 s; source 1: one page, no data
+        path = tmp_path / "clicks.csv"
+        path.write_text(
+            "# echocrawl-clicks-v1\n"
+            "page_id,source_id,created_s,click_time_s\n"
+            "1,0,100.0,150.0\n2,0,2000.0,\n3,0,900.0,\n4,1,50.0,60.0\n"
+        )
+        argv = ["fit", str(path), "--out", str(tmp_path), "--quiet"]
+        if default is not None:
+            config = tmp_path / "fit.yaml"
+            config.write_text(f"fit: {{default_lambda: {default!r}}}\n")
+            argv += ["--config", str(config)]
+        assert cli.main(argv) == 0
+        sources, _ = fileio.read_params(tmp_path / "params.csv")
+        prior = 1 / 3600 if default is None else default
+        assert sources[0].lambda_rate == pytest.approx(3 / (1 / prior + 1900.0), rel=1e-12)
+        assert sources[1].lambda_rate == prior
 
     def test_pages_without_clicks_fit_defaults_with_flag(self, tmp_path):
         path = tmp_path / "quiet.csv"

@@ -3,6 +3,7 @@ finite-difference oracles, new-link rate arithmetic, and click-log
 ingestion."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from echocrawl.estimators import (
     estimate_lambda,
     fit_objective,
     fit_profit_curve,
+    posterior_rate,
 )
+from echocrawl import estimators
 from oracles import dense_fit_oracle
 
 
@@ -204,15 +207,16 @@ class TestEstimateLambda:
     def test_even_spacing(self):
         entries = [(700.0 * i, 3) for i in range(7)]  # spans 4200 s
         window = CrawlHistoryWindow(7, entries)
-        assert estimate_lambda(window, now=5000.0) == pytest.approx(21 / 4200)
+        # 18 links after the first entry over 4200 s, prior 1 link per 3600 s
+        assert estimate_lambda(window, now=5000.0) == pytest.approx(19 / 7800)
 
     def test_hand_example(self):
         window = CrawlHistoryWindow(7, [(0.0, 5), (100.0, 0), (300.0, 1)])
-        assert estimate_lambda(window, now=300.0) == pytest.approx(0.02)
+        assert estimate_lambda(window, now=300.0) == pytest.approx(2 / 3900)
 
     def test_all_zero_links(self):
         window = CrawlHistoryWindow(4, [(0.0, 0), (50.0, 0), (90.0, 0)])
-        assert estimate_lambda(window, now=100.0) == 0.0
+        assert estimate_lambda(window, now=100.0) == pytest.approx(1 / 3690)
 
     def test_too_few_entries_falls_back(self):
         window = CrawlHistoryWindow(5, [(0.0, 3)])
@@ -221,8 +225,9 @@ class TestEstimateLambda:
 
     def test_future_entries_invisible(self):
         window = CrawlHistoryWindow(5, [(0.0, 5), (100.0, 0), (300.0, 1)])
-        # at now=150 only the first two entries exist: 5/100
-        assert estimate_lambda(window, now=150.0) == pytest.approx(0.05)
+        # at now=150 only the first two entries exist: no link after the
+        # first over 100 s
+        assert estimate_lambda(window, now=150.0) == pytest.approx(1 / 3700)
         assert estimate_lambda(window, now=50.0, default=1.0) == 1.0
 
     @given(
@@ -245,6 +250,53 @@ class TestEstimateLambda:
         assert estimate_lambda(split_window, now=500.0) == pytest.approx(
             estimate_lambda(window, now=500.0)
         )
+
+    @given(
+        capacity=st.integers(2, 8),
+        steps=st.lists(st.tuples(st.floats(1e-3, 1e6), st.integers(0, 10**4)), max_size=12),
+        now=st.one_of(st.none(), st.floats(0.0, 1e7)),
+        default=st.floats(1e-9, 1e3),
+    )
+    def test_posterior_never_zero_or_infinite(self, capacity, steps, now, default):
+        entries, t = [], 0.0
+        for gap, links in steps:
+            t += gap
+            entries.append((t, links))
+        window = CrawlHistoryWindow(capacity, entries)
+        rate = estimate_lambda(window, now, default)
+        assert 0.0 < rate < math.inf
+        visible = [e for e in window.entries if now is None or e[0] <= now]
+        if len(visible) < 2:
+            assert rate == default
+        assert posterior_rate(0, 0.0, default) == default
+
+    def test_links_after_first_are_unbiased(self, monkeypatch):
+        # Poisson links, crawls at random times independent of them: the
+        # links estimate_lambda counts have mean lambda * span, while the
+        # first entry's links arrived before the window's span began
+        rate, n_windows, capacity = 1 / 600, 20_000, 7
+        rng = np.random.default_rng(12)
+        seen = []
+
+        def recorded(arrivals, span, default):
+            seen.append((arrivals, span))
+            return default
+
+        monkeypatch.setattr(estimators, "posterior_rate", recorded)
+        first_links = []
+        for _ in range(n_windows):
+            times = np.cumsum(rng.uniform(1.0, 1200.0, capacity))
+            links = rng.poisson(rate * np.diff(times, prepend=0.0))
+            estimate_lambda(CrawlHistoryWindow(capacity, zip(times.tolist(), links.tolist())))
+            first_links.append(int(links[0]))
+        arrivals, spans = np.array(seen, dtype=float).T
+
+        def within_three_standard_errors(counted):
+            err = counted - rate * spans
+            return abs(err.mean()) <= 3.0 * err.std(ddof=1) / math.sqrt(n_windows)
+
+        assert within_three_standard_errors(arrivals)
+        assert not within_three_standard_errors(arrivals + np.array(first_links))
 
 
 class TestCrawlHistoryWindow:
@@ -341,6 +393,25 @@ class TestEstimatorState:
         state.push_logs([(1, 5.0), (1, 8.0), (2, 20.0)], t_push=100.0)
         assert state.average_profit(4) == pytest.approx(1.5)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"bin_size": math.nan}, "bin_size must be finite and > 0, got nan"),
+            ({"bin_size": math.inf}, "bin_size must be finite and > 0, got inf"),
+            ({"max_click_age": math.nan}, "max_click_age must be > 0, got nan"),
+            ({"history_capacity": 1}, "history_capacity must be >= 2, got 1"),
+            ({"default_lambda": 0.0}, "default_lambda must be finite and > 0, got 0.0"),
+            ({"default_lambda": math.inf}, "default_lambda must be finite and > 0, got inf"),
+            ({"default_decay": math.nan}, "default_decay must be finite and > 0, got nan"),
+            ({"default_profit": -0.5}, "default_profit must be finite and >= 0, got -0.5"),
+            ({"default_profit": math.nan}, "default_profit must be finite and >= 0, got nan"),
+        ],
+    )
+    def test_rejects_bad_settings_when_built(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EstimatorState(**kwargs)
+        assert EstimatorState(default_profit=0.0).default_profit == 0.0
+
     def test_snapshot_defaults(self):
         state = EstimatorState()
         state.ensure_source(2)
@@ -356,7 +427,7 @@ class TestEstimatorState:
         state.record_crawl(0, time=100.0, new_links=0)
         state.record_crawl(0, time=300.0, new_links=1)
         params = state.params_snapshot(now=300.0)[0]
-        assert params.lambda_rate == pytest.approx(0.02)
+        assert params.lambda_rate == pytest.approx(2 / 3900)
 
     def test_snapshot_recovers_curve(self):
         # feed clicks drawn exactly from the model; the fitted snapshot

@@ -270,6 +270,21 @@ class TestCellErrors:
             fileio.read_scenario(path)
 
     @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("source,1,,nan,1.0,0.001,,,", "lambda_rate must be finite, got nan"),
+            ("source,1,,inf,1.0,0.001,,,", "lambda_rate must be finite, got inf"),
+            ("source,1,,0.5,inf,0.001,,,", "profit_mean must be finite, got inf"),
+            ("source,1,,0.5,1.0,inf,,,", "decay must be finite, got inf"),
+        ],
+    )
+    def test_non_finite_source_record_reports_its_line(self, tmp_path, row, message):
+        path = scenario_file(tmp_path, row)
+        with pytest.raises(fileio.FileFormatError) as err:
+            fileio.read_scenario(path)
+        assert str(err.value).endswith(f"bad.csv:4: {message}")
+
+    @pytest.mark.parametrize(
         "rows, message",
         [
             (["0,0.5,1.0,0.001"], "p.csv:4: duplicate source id 0"),

@@ -15,9 +15,10 @@ from echocrawl.core import (
     SourceParams,
     total_realized_profit,
 )
+from echocrawl import cli, fileio
 from echocrawl.estimators import EstimatorState
-from echocrawl.optimizer import closed_form_quality, solve_schedule
-from echocrawl.policies import POLICY_NAMES, CrawlPolicy
+from echocrawl.optimizer import ScheduleInfeasibleError, closed_form_quality, solve_schedule
+from echocrawl.policies import POLICY_NAMES, CrawlPolicy, EchoSchedulePolicy, make_policy
 from echocrawl.simulator import (
     LinkEvent,
     PageGroundTruth,
@@ -57,6 +58,12 @@ class TestConfigValidation:
             SourceSpec(0.1, -1.0, 0.001)
         with pytest.raises(ValueError):
             SourceSpec(0.1, 1.0, 0.0)
+        with pytest.raises(ValueError, match="lambda_rate must be finite, got nan"):
+            SourceSpec(math.nan, 1.0, 0.001)
+        with pytest.raises(ValueError, match="profit_mean must be finite, got inf"):
+            SourceSpec(0.1, math.inf, 0.001)
+        with pytest.raises(ValueError, match="decay must be finite, got inf"):
+            SourceSpec(0.1, 1.0, math.inf)
 
     def test_scenario_config_rejects_bad_values(self):
         spec = SourceSpec(0.01, 1.0, 0.001)
@@ -363,6 +370,59 @@ class TestIllegalDecisions:
     def test_double_fetch_aborts(self, midsize_scenario):
         with pytest.raises(SimulationError, match="already"):
             run(midsize_scenario, RunConfig(), policy=_RogueDoubleFetch(range(5)))
+
+
+class _FailsSecondSolve(EchoSchedulePolicy):
+    """echo-schedule whose second reschedule hands the solver sources it
+    cannot schedule (every profit 0)."""
+
+    def __init__(self, sources):
+        super().__init__(sources)
+        self.solves = 0
+        self.solved = []  # the solve number of every schedule set
+
+    def schedule_params(self, params):
+        self.solves += 1
+        if self.solves == 2:
+            return {sid: replace(p, profit=0.0) for sid, p in params.items()}
+        return params
+
+    def set_schedule(self, schedule):
+        super().set_schedule(schedule)
+        self.solved.append(self.solves)
+
+
+class TestScheduleFailures:
+    @pytest.mark.parametrize(
+        "policy", [name for name in POLICY_NAMES if make_policy(name, [0]).uses_schedule]
+    )
+    def test_first_failure_raises(self, policy):
+        # the prior rate 1/3600 alone exceeds the budget: no first schedule
+        config = ScenarioConfig(
+            (SourceSpec(1 / 3600, 1.0, 1e-4),), horizon=DAY, budget=1e-4
+        )
+        with pytest.raises(ScheduleInfeasibleError):
+            run(generate_scenario(config), RunConfig(policy=policy))
+
+    def test_later_failure_keeps_the_previous_schedule(self, midsize_scenario):
+        policy = _FailsSecondSolve(range(midsize_scenario.n_sources))
+        trace, report = run(midsize_scenario, policy=policy)
+        assert report.schedule_failures == 1
+        assert policy.solved[:2] == [1, 3]
+        assert policy.solves == len(policy.solved) + 1
+        assert_legal_trace(midsize_scenario, trace, midsize_scenario.config.budget)
+
+
+class TestDeadEnds:
+    @pytest.mark.parametrize("seed, budget", [(4, 0.003681), (4, 0.007361), (15, 0.007361)])
+    def test_echo_schedule_keeps_capturing_on_preset(self, seed, budget):
+        # estimates that could reach 0 once left these cells at 0 clicks
+        # after warm-up: a source whose rate is 0 is never recrawled again
+        config = fileio.parse_experiment_config(cli._load_config("preset:main"))
+        assert budget in config.budgets
+        scenario = generate_scenario(replace(config.scenario, seed=seed))
+        _, report = run(scenario, config.make_run_config("echo-schedule", budget))
+        assert report.overall_quality > 0.0
 
 
 class TestScheduleFollower:
