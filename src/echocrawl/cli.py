@@ -257,12 +257,8 @@ def cmd_schedule(args) -> int:
     sources, _ = fileio.read_params(args.params)
     try:
         schedule = solve_schedule(sources, args.budget, SolverConfig(epsilon=args.epsilon))
-    except ScheduleInfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except NoConvergenceError as exc:
-        print(f"no convergence: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    except (ScheduleInfeasibleError, NoConvergenceError):  # main maps these to exit 3
+        raise
     except ValueError as exc:  # a budget or epsilon that is not finite and > 0
         raise ConfigError(str(exc)) from None
     outdir = Path(args.out or ".")
@@ -282,10 +278,11 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_discover(args) -> int:
-    if args.min_age < 0:
-        raise ConfigError(f"--min-age must be >= 0, got {args.min_age}")
     snapshots = fileio.read_snapshots(args.snapshots)
-    sources = find_content_sources(snapshots, args.min_age)
+    try:
+        sources = find_content_sources(snapshots, args.min_age)
+    except ValueError as exc:
+        raise ConfigError(f"--min-age: {exc}") from None
     outdir = Path(args.out or ".")
     path = outdir / "sources.csv"
     fileio.write_table(
@@ -481,7 +478,7 @@ def main(argv: "list[str] | None" = None) -> int:
     except FileFormatError as exc:
         print(f"file format error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ScheduleInfeasibleError, NoConvergenceError) as exc:  # a crawl's first solve
+    except (ScheduleInfeasibleError, NoConvergenceError) as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as exc:

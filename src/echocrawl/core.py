@@ -24,6 +24,17 @@ PageId = int
 Seconds = float
 
 
+def check_setting(name: str, value: float, least: str = "> 0", finite: bool = True) -> None:
+    """The one bounds rule of a numeric setting: ``value`` is > 0, or >= 0
+    when ``least`` is ">= 0", and finite unless ``finite`` is False.  NaN
+    never passes.  Raises ValueError("{name} must be [finite and ]{least},
+    got {value}")."""
+    within = value > 0.0 or (value == 0.0 and least == ">= 0")
+    if not within or (finite and value == math.inf):
+        rule = f"finite and {least}" if finite else least
+        raise ValueError(f"{name} must be {rule}, got {value}")
+
+
 @dataclass(frozen=True, slots=True)
 class SourceParams:
     """True or estimated parameters of one content source.
@@ -56,11 +67,13 @@ class SourceParams:
         faster (larger lambda) yields fresher pages per recrawl, so its pages
         are worth more at crawl time.  Always >= profit; infinite when
         lambda_rate == 0 (the value is then irrelevant because the source
-        never produces anything to crawl).
+        never produces anything to crawl), and wherever 1 - exp(-mu / lambda)
+        rounds to 0.
         """
         if self.lambda_rate == 0:
             return math.inf
-        return self.profit / -math.expm1(-self.decay / self.lambda_rate)
+        captured = -math.expm1(-self.decay / self.lambda_rate)
+        return self.profit / captured if captured else math.inf
 
 
 def _source_error(
@@ -149,7 +162,7 @@ class SourceTable(Mapping):
             ratio = -self.decay / self.lambda_rate
             expm1 = np.fromiter(map(math.expm1, ratio.tolist()), np.float64, len(ratio))
             out = self.profit / -expm1
-        out[self.lambda_rate == 0.0] = math.inf
+        out[(self.lambda_rate == 0.0) | (expm1 == 0.0)] = math.inf
         return out
 
     @cached_property
@@ -178,10 +191,8 @@ class ProfitCurve:
     decay: float
 
     def __post_init__(self) -> None:
-        if self.profit < 0:
-            raise ValueError(f"profit must be >= 0, got {self.profit}")
-        if self.decay <= 0:
-            raise ValueError(f"decay must be > 0, got {self.decay}")
+        check_setting("profit", self.profit, ">= 0")
+        check_setting("decay", self.decay)
 
     def value_at(self, age: Seconds) -> float:
         return profit_at(self, age)
@@ -234,10 +245,8 @@ class MetricConfig:
     sample_period: Seconds = 900.0
 
     def __post_init__(self) -> None:
-        if self.window <= 0:
-            raise ValueError("window must be > 0")
-        if self.sample_period <= 0:
-            raise ValueError("sample_period must be > 0")
+        check_setting("window", self.window)
+        check_setting("sample_period", self.sample_period)
 
 
 def profit_at(curve: ProfitCurve, age: Seconds) -> float:

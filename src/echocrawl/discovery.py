@@ -16,7 +16,7 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import PageId, Seconds
+from .core import PageId, Seconds, check_setting
 
 logger = logging.getLogger(__name__)
 
@@ -83,8 +83,7 @@ def find_content_sources(
     min_age = 0 disables the filter.  Result preserves snapshot order and
     is deduplicated across hosts.
     """
-    if min_age < 0:
-        raise ValueError(f"min_age must be >= 0, got {min_age}")
+    check_setting("min_age", min_age, ">= 0", finite=False)
     out: "list[PageId]" = []
     seen: "set[PageId]" = set()
     for snap in snapshots:
@@ -106,9 +105,9 @@ def greedy_source_cover(
 
     Repeatedly picks the source covering the most not-yet-covered pages
     (ties to the smaller source id) and records the cumulative coverage
-    fraction, until it reaches target_fraction or no remaining source adds
-    coverage.  The fractions are over all distinct ephemeral pages in the
-    corpus, so the result plots directly as a coverage-vs-source-count curve.
+    fraction, until it reaches target_fraction.  The fractions are over all
+    distinct ephemeral pages in the corpus, so the result plots directly as
+    a coverage-vs-source-count curve.
     """
     if not corpus.links:
         raise ValueError("corpus must be nonempty")
@@ -123,8 +122,6 @@ def greedy_source_cover(
         best, best_pages = min(
             remaining.items(), key=lambda kv: (-len(kv[1]), kv[0])
         )
-        if not best_pages:
-            break
         covered |= best_pages
         del remaining[best]
         for pages in remaining.values():

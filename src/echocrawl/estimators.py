@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import PageId, ProfitCurve, Seconds, SourceId, SourceParams
+from .core import PageId, ProfitCurve, Seconds, SourceId, SourceParams, check_setting
 
 # Fallbacks for sources with no click or crawl feedback yet: a small
 # non-zero profit, one-day decay and one new link per hour keep unknown
@@ -38,6 +38,11 @@ DEFAULT_LAMBDA = 1.0 / 3600.0
 
 # Clicks older than this never enter a histogram.
 DEFAULT_MAX_CLICK_AGE = 14 * 86400.0
+
+# A cached curve fit is redone once a source has gained this many clicks
+# since the fit, and this share of the clicks it was fitted on.
+REFIT_MIN_CLICKS = 40
+REFIT_GROWTH = 0.10
 
 # Interior-point ratio of the golden-section search.
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -57,8 +62,7 @@ class ClickHistogram:
     page_count: int
 
     def __init__(self, bin_size: float, cumulative: Sequence[float], page_count: int):
-        if bin_size <= 0:
-            raise ValueError(f"bin_size must be > 0, got {bin_size}")
+        check_setting("bin_size", bin_size)
         if page_count < 0:
             raise ValueError(f"page_count must be >= 0, got {page_count}")
         values = tuple(float(v) for v in cumulative)
@@ -166,8 +170,8 @@ def fit_profit_curve(
     """
     if hist.page_count <= 0:
         raise ValueError("fit needs page_count > 0")
-    if min_decay is not None and not 0.0 <= min_decay < math.inf:
-        raise ValueError(f"min_decay must be finite and >= 0, got {min_decay}")
+    if min_decay is not None:
+        check_setting("min_decay", min_decay, ">= 0")
     y = np.asarray(hist.targets()[1:])
     if len(y) < 1:
         raise ValueError("fit needs at least 2 histogram bins")
@@ -269,30 +273,23 @@ class EstimatorState:
         default_profit: float = DEFAULT_PROFIT,
         default_decay: float = DEFAULT_DECAY,
         default_lambda: float = DEFAULT_LAMBDA,
-        refit_growth: float = 0.10,
-        refit_min_clicks: int = 40,
     ):
-        if not 0.0 < bin_size < math.inf:
-            raise ValueError(f"bin_size must be finite and > 0, got {bin_size}")
-        if not max_click_age > 0.0:
-            raise ValueError(f"max_click_age must be > 0, got {max_click_age}")
+        check_setting("bin_size", bin_size)
+        check_setting("max_click_age", max_click_age, finite=False)
         if history_capacity < 2:
             raise ValueError(f"history_capacity must be >= 2, got {history_capacity}")
+        check_setting("default_profit", default_profit, ">= 0")
+        check_setting("default_decay", default_decay)
         # a default_lambda of 0 would give every silent source a zero rate
-        if not 0.0 <= default_profit < math.inf:
-            raise ValueError(f"default_profit must be finite and >= 0, got {default_profit}")
-        if not 0.0 < default_decay < math.inf:
-            raise ValueError(f"default_decay must be finite and > 0, got {default_decay}")
-        if not 0.0 < default_lambda < math.inf:
-            raise ValueError(f"default_lambda must be finite and > 0, got {default_lambda}")
+        check_setting("default_lambda", default_lambda)
         self.bin_size = float(bin_size)
         self.history_capacity = int(history_capacity)
         self.max_click_age = float(max_click_age)
         self.default_profit = float(default_profit)
         self.default_decay = float(default_decay)
         self.default_lambda = float(default_lambda)
-        self.refit_growth = float(refit_growth)
-        self.refit_min_clicks = int(refit_min_clicks)
+        # the curve of every source without click feedback
+        self._default_curve = ProfitCurve(self.default_profit, self.default_decay)
         self.unknown_clicks = 0
         self._pages: "dict[PageId, tuple[SourceId, Seconds]]" = {}
         self._tracks: "dict[SourceId, _SourceTrack]" = {}
@@ -384,9 +381,9 @@ class EstimatorState:
 
     def _curve(self, source: SourceId, track: _SourceTrack) -> ProfitCurve:
         if track.total_clicks == 0 or track.max_bin < 1 or track.page_count == 0:
-            return ProfitCurve(self.default_profit, self.default_decay)
+            return self._default_curve
         grown = track.total_clicks - track.clicks_at_fit
-        threshold = max(self.refit_min_clicks, self.refit_growth * track.clicks_at_fit)
+        threshold = max(REFIT_MIN_CLICKS, REFIT_GROWTH * track.clicks_at_fit)
         if track.fitted is not None and grown < threshold:
             return track.fitted
         hist = self.histogram(source)

@@ -51,7 +51,6 @@ from .core import (
 )
 from .discovery import HostSnapshot, LinkCorpus
 from .optimizer import Schedule
-from .policies import POLICY_NAMES
 from .simulator import (
     LinkEvent,
     PageGroundTruth,
@@ -765,7 +764,8 @@ class ExperimentConfig:
     """One scenario family and the (policy x budget x seed) grid to run.
 
     run holds the settings every cell shares; make_run_config sets a cell's
-    policy and budget on it.
+    policy and budget on it.  Every cell's RunConfig is built here, so a
+    policy or budget that RunConfig rejects is a ConfigError.
     """
 
     scenario: ScenarioConfig
@@ -780,6 +780,13 @@ class ExperimentConfig:
             raise ConfigError("experiment needs at least one policy")
         if not self.seeds:
             raise ConfigError("experiment needs at least one seed")
+        for policy in self.policies:
+            for budget in self.budgets:
+                try:
+                    self.make_run_config(policy, budget)
+                except ValueError as exc:
+                    cell = f"({policy!r}, {budget!r})"
+                    raise ConfigError(f"policies/budgets {cell}: {exc}") from None
 
     def runs(self) -> "list[tuple[int, str, float]]":
         """The full (seed, policy, budget) grid in deterministic order."""
@@ -811,12 +818,6 @@ def parse_experiment_config(node: Mapping, context: str = "config") -> Experimen
         raw_policies = [raw_policies]
     if not isinstance(raw_policies, list) or not raw_policies:
         raise ConfigError(f"{context}.policies: expected a nonempty list")
-    for name in raw_policies:
-        if name not in POLICY_NAMES:
-            raise ConfigError(
-                f"{context}.policies: unknown policy {name!r}; "
-                f"valid: {', '.join(POLICY_NAMES)}"
-            )
 
     raw_seeds = node.get("seeds", [scenario.seed])
     if isinstance(raw_seeds, int) and not isinstance(raw_seeds, bool):
@@ -833,23 +834,20 @@ def parse_experiment_config(node: Mapping, context: str = "config") -> Experimen
     if not isinstance(raw_budgets, list) or not raw_budgets:
         raise ConfigError(f"{context}.budgets: expected a number or nonempty list")
     budgets = tuple(_config_value(float, b, f"{context}.budgets") for b in raw_budgets)
-    for value in budgets:
-        if value <= 0:
-            raise ConfigError(f"{context}.budgets: must be > 0, got {value}")
 
-    policies = tuple(raw_policies)
+    # the grid's cells set policy and budget; ExperimentConfig checks them
     run = read_config(
         RunConfig,
         node.get("run", {}),
         f"{context}.run",
-        fixed={"policy": policies[0], "budget": budgets[0]},
+        fixed={"policy": RunConfig.policy, "budget": None},
     )
     out = node.get("out", "runs")
     if not isinstance(out, str) or not out:
         raise ConfigError(f"{context}.out: expected a nonempty string")
     return ExperimentConfig(
         scenario=scenario,
-        policies=policies,
+        policies=tuple(raw_policies),
         budgets=budgets,
         seeds=seeds,
         out=out,

@@ -55,7 +55,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import SourceId, SourceParams, SourceTable
+from .core import SourceId, SourceParams, SourceTable, check_setting
 
 logger = logging.getLogger(__name__)
 
@@ -113,8 +113,7 @@ class SolverConfig:
     epsilon: float = 1e-6
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        check_setting("epsilon", self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -322,8 +321,7 @@ def solve_schedule(
         sources = SourceTable.from_params(pairs)
     if not len(sources):
         raise ValueError("solve_schedule needs at least one source")
-    if not 0.0 < budget < math.inf:
-        raise ValueError(f"budget must be finite and > 0, got {budget}")
+    check_setting("budget", budget)
 
     by_id = np.argsort(sources.ids, kind="stable")
     ids = sources.ids[by_id]

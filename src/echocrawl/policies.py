@@ -44,7 +44,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .core import CrawlPage, PageId, RecrawlSource, Seconds, SourceId, SourceParams
+from .core import CrawlPage, PageId, RecrawlSource, Seconds, SourceId, SourceParams, check_setting
 from .estimators import DEFAULT_DECAY
 from .optimizer import Schedule
 
@@ -257,8 +257,7 @@ class EchoGreedyPolicy(CrawlPolicy):
     def set_source_values(self, values: "Mapping[SourceId, float]") -> None:
         super().set_source_values(values)
         for rate in values.values():
-            if not 0.0 <= rate < math.inf:
-                raise ValueError(f"value rate must be finite and >= 0, got {rate}")
+            check_setting("value rate", rate, ">= 0")
         for source, rate in values.items():
             self._rate[self._pos[source]] = rate
         self._valued = self._rate > 0.0

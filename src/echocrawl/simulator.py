@@ -29,6 +29,7 @@ from .core import (
     Seconds,
     SourceId,
     _source_error,
+    check_setting,
     total_realized_profit,
     quality_series,
     validate_trace,
@@ -100,14 +101,12 @@ class ScenarioConfig:
         object.__setattr__(self, "source_specs", tuple(self.source_specs))
         if not self.source_specs:
             raise ValueError("source_specs must not be empty")
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be > 0, got {self.horizon}")
+        check_setting("horizon", self.horizon)
         if self.link_window < 1:
             raise ValueError(f"link_window must be >= 1, got {self.link_window}")
-        if self.budget <= 0:
-            raise ValueError(f"budget must be > 0, got {self.budget}")
-        if self.daily_amplitude < 0 or self.weekly_amplitude < 0:
-            raise ValueError("modulation amplitudes must be >= 0")
+        check_setting("budget", self.budget)
+        check_setting("daily_amplitude", self.daily_amplitude, ">= 0")
+        check_setting("weekly_amplitude", self.weekly_amplitude, ">= 0")
         if self.daily_amplitude + self.weekly_amplitude > 1.0:
             raise ValueError("modulation amplitudes must sum to <= 1")
         if self.click_distribution not in CLICK_DISTRIBUTIONS:
@@ -202,15 +201,14 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.policy not in POLICY_NAMES:
             raise ValueError(f"unknown policy {self.policy!r}, pick from {POLICY_NAMES}")
-        if self.budget is not None and self.budget <= 0:
-            raise ValueError(f"budget must be > 0, got {self.budget}")
+        if self.budget is not None:
+            check_setting("budget", self.budget)
         for name in ("reschedule_period", "logs_push_period", "bin_size"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            check_setting(name, getattr(self, name))
         if self.history_size < 2:
             raise ValueError("history_size must be >= 2")
-        if self.warmup is not None and self.warmup < 0:
-            raise ValueError("warmup must be >= 0")
+        if self.warmup is not None:
+            check_setting("warmup", self.warmup, ">= 0")
 
 
 @dataclass(frozen=True)

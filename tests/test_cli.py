@@ -3,8 +3,13 @@ with their exit codes and determinism guarantees."""
 
 import dataclasses
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,6 +388,51 @@ class TestConfigReader:
             self.parse(edit)
 
     @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda n: n.update(policies=["bfs"], budgets=[math.nan]),
+                "policies/budgets ('bfs', nan): budget must be finite and > 0, got nan",
+            ),
+            (
+                lambda n: n.update(policies=["echo-greedy"], budgets=[math.inf]),
+                "policies/budgets ('echo-greedy', inf): budget must be finite and > 0, got inf",
+            ),
+            (
+                lambda n: n["scenario"].update(horizon=math.nan),
+                "config.scenario: horizon must be finite and > 0, got nan",
+            ),
+            (
+                lambda n: n["scenario"].update(horizon=math.inf),
+                "config.scenario: horizon must be finite and > 0, got inf",
+            ),
+            (
+                lambda n: n["scenario"].update(daily_amplitude=math.nan),
+                "config.scenario: daily_amplitude must be finite and >= 0, got nan",
+            ),
+            (
+                lambda n: n.update(run={"reschedule_period": math.nan}),
+                "config.run: reschedule_period must be finite and > 0, got nan",
+            ),
+            (
+                lambda n: n.update(run={"logs_push_period": math.nan}),
+                "config.run: logs_push_period must be finite and > 0, got nan",
+            ),
+            (
+                lambda n: n.update(run={"metric": {"window": math.nan}}),
+                "config.run.metric: window must be finite and > 0, got nan",
+            ),
+            (
+                lambda n: n.update(run={"warmup": math.nan}),
+                "config.run: warmup must be finite and >= 0, got nan",
+            ),
+        ],
+    )
+    def test_non_finite_settings_name_the_key(self, edit, message):
+        with pytest.raises(fileio.ConfigError, match=re.escape(message)):
+            self.parse(edit)
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             ("fit: {default_decay: 1e-6}", "fit.default_decay: expected a number, got '1e-6'"),
@@ -570,6 +620,31 @@ class TestRunAndReportCommands:
         config.write_text(yaml.safe_dump(node))
         assert cli.main(["run", "--config", str(config), "--jobs", jobs]) == cli.EXIT_SOLVER
         assert "budget infeasible" in capsys.readouterr().err
+
+    def test_nan_budget_exits_2_without_crawling(self, tmp_path):
+        # A NaN budget makes every fetch slot's time NaN, so a crawl that
+        # started would never reach its horizon: run it in a child process
+        # with a time limit and a 2 GiB address-space cap.
+        node = yaml.safe_load(TINY_CONFIG.format(out=tmp_path / "out"))
+        node.update(policies=["bfs"], budgets=[math.nan])
+        config = tmp_path / "nan.yaml"
+        config.write_text(yaml.safe_dump(node))
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "echocrawl", "run", "--config", str(config), "--quiet"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            preexec_fn=cap_memory,
+            env=env,
+        )
+        assert done.returncode == cli.EXIT_CONFIG, done.stderr
+        assert "budget must be finite and > 0, got nan" in done.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_report_aggregates_and_emits_series(self, grid):
         out = grid / "rep"
@@ -927,6 +1002,14 @@ class TestDiscoverAndCoverCommands:
         lines = (tmp_path / "cover.csv").read_text().splitlines()
         assert len(lines) == 2 + 2  # header + columns + two picks
         assert lines[-1].endswith("1.0")
+
+    @pytest.mark.parametrize("min_age", ["nan", "-1"])
+    def test_bad_min_age_exits_2(self, min_age, tmp_path, capsys):
+        fileio.write_snapshots(tmp_path / "snaps.csv", [HostSnapshot(0, 100, [(101, 5.0)])])
+        argv = ["discover", str(tmp_path / "snaps.csv"), "--min-age", min_age, "--quiet"]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert f"--min-age: min_age must be >= 0, got {float(min_age)}" in capsys.readouterr().err
+        assert not (tmp_path / "sources.csv").exists()
 
     def test_bad_target_exits_2(self, tmp_path):
         corpus = LinkCorpus([(1, 10, 0.0)])

@@ -122,6 +122,8 @@ class TestSourceTable:
             for l, p, r in zip(lam, 10.0 ** rng.uniform(-2.0, 2.0, len(ratio)), ratio)
         ]
         params += [SourceParams(0.0, 1.0, 0.001), SourceParams(0.01, 0.0, 0.001)]
+        # mu / lambda underflows to 0: 1 - exp(-mu / lambda) is 0
+        params += [SourceParams(1e10, 1.0, 1e-320), SourceParams(1e10, 0.0, 1e-320)]
         table = SourceTable.from_params(enumerate(params))
         assert table.utility().tolist() == [sp.utility for sp in params]
 

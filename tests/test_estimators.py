@@ -433,7 +433,7 @@ class TestEstimatorState:
         # feed clicks drawn exactly from the model; the fitted snapshot
         # parameters must approximate it
         decay = 1e-3
-        state = EstimatorState(bin_size=0.2 / decay, refit_min_clicks=1)
+        state = EstimatorState(bin_size=0.2 / decay)
         rng = np.random.default_rng(5)
         events = []
         for page in range(400):
@@ -446,7 +446,7 @@ class TestEstimatorState:
         assert params.decay == pytest.approx(decay, rel=0.15)
 
     def test_fit_cache_reused_until_growth(self):
-        state = EstimatorState(bin_size=100.0, refit_min_clicks=10)
+        state = EstimatorState(bin_size=100.0)
         for page in range(5):
             state.register_page(page, source=0, created=0.0)
         state.push_logs([(p, 150.0) for p in range(5)] * 4, t_push=1000.0)
@@ -455,13 +455,13 @@ class TestEstimatorState:
         state.push_logs([(0, 250.0), (1, 250.0)], t_push=2000.0)
         second = state.params_snapshot(now=2000.0)[0]
         assert (second.profit, second.decay) == (first.profit, first.decay)
-        # 10 more clicks push past the threshold and trigger a refit
-        state.push_logs([(p, 350.0) for p in range(5)] * 2, t_push=3000.0)
+        # 40 more clicks push past the threshold and trigger a refit
+        state.push_logs([(p, 350.0) for p in range(5)] * 8, t_push=3000.0)
         third = state.params_snapshot(now=3000.0)[0]
         assert (third.profit, third.decay) != (first.profit, first.decay)
 
     def test_snapshot_is_the_span_floored_fit(self):
-        state = EstimatorState(bin_size=600.0, refit_min_clicks=1)
+        state = EstimatorState(bin_size=600.0)
         for page in range(3):
             state.register_page(page, source=0, created=0.0)
         state.push_logs([(0, 2500.0), (1, 2900.0), (2, 400.0)], t_push=3000.0)
