@@ -39,7 +39,7 @@ from .optimizer import (
 )
 from .core import SourceParams
 from .policies import POLICY_NAMES
-from .simulator import RunConfig, Scenario, generate_scenario, oracle_upper_bound, run
+from .simulator import Scenario, ScenarioConfig, generate_scenario, oracle_upper_bound, run
 from . import fileio
 from .fileio import ConfigError, ExperimentConfig, FileFormatError
 
@@ -68,13 +68,19 @@ def _load_config(spec: "str | None") -> "dict":
     return fileio.load_yaml_mapping(spec)
 
 
+def _seeded(config: ScenarioConfig, seed: "int | None") -> ScenarioConfig:
+    """config with the --seed override applied, when one is given."""
+    if seed is None:
+        return config
+    with fileio.config_errors("--seed"):
+        return dataclasses.replace(config, seed=seed)
+
+
 def _experiment(args) -> ExperimentConfig:
     config = fileio.parse_experiment_config(_load_config(args.config))
     if args.seed is not None:
         config = dataclasses.replace(
-            config,
-            scenario=dataclasses.replace(config.scenario, seed=args.seed),
-            seeds=(args.seed,),
+            config, scenario=_seeded(config.scenario, args.seed), seeds=(args.seed,)
         )
     if args.out is not None:
         config = dataclasses.replace(config, out=args.out)
@@ -134,9 +140,7 @@ def _seed_worker(payload) -> "list[tuple[str, float, int, float]]":
 
 def cmd_generate(args) -> int:
     node = _load_config(args.config)
-    config = fileio.parse_scenario_config(node.get("scenario", node))
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+    config = _seeded(fileio.parse_scenario_config(node.get("scenario", node)), args.seed)
     scenario = generate_scenario(config)
     outdir = Path(args.out or ".")
     scenario_path = outdir / f"scenario_s{config.seed}.csv"
@@ -213,8 +217,8 @@ def cmd_fit(args) -> int:
         span = max(creations) - min(creations)
         lam = posterior_rate(len(creations) - 1, span, state.default_lambda)
         hist = state.histogram(sid)
-        clicks = hist.cumulative[-1] if hist.cumulative else 0
-        fitted = hist.page_count > 0 and clicks > 0 and len(hist.cumulative) >= 2
+        clicks = hist.cumulative[-1]
+        fitted = clicks > 0 and len(hist.cumulative) >= 2
         profit, decay = state.default_profit, state.default_decay
         if fitted:
             # the plain least-squares fit, without the online estimator's
@@ -279,10 +283,8 @@ def cmd_schedule(args) -> int:
 
 def cmd_discover(args) -> int:
     snapshots = fileio.read_snapshots(args.snapshots)
-    try:
+    with fileio.config_errors("--min-age"):
         sources = find_content_sources(snapshots, args.min_age)
-    except ValueError as exc:
-        raise ConfigError(f"--min-age: {exc}") from None
     outdir = Path(args.out or ".")
     path = outdir / "sources.csv"
     fileio.write_table(

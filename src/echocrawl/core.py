@@ -339,9 +339,3 @@ def validate_trace(trace: CrawlTrace, slot_width: float | None = None) -> None:
                 raise ValueError(
                     f"fetch at t={rec.time} is not aligned to slot width {slot_width}"
                 )
-
-
-def total_realized_profit(trace: Iterable[CrawlRecord]) -> float:
-    return sum(
-        rec.realized_profit for rec in trace if isinstance(rec.action, CrawlPage)
-    )

@@ -12,13 +12,10 @@ Two complementary views:
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import PageId, Seconds, check_setting
-
-logger = logging.getLogger(__name__)
 
 # Pages younger than this are not considered durable enough to be sources.
 DEFAULT_MIN_SOURCE_AGE = 3 * 86400.0

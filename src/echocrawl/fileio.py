@@ -31,6 +31,7 @@ import hashlib
 import inspect
 import os
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence, get_args, get_type_hints
@@ -75,6 +76,15 @@ class FileFormatError(ValueError):
 
 class ConfigError(ValueError):
     """A YAML config is missing, malformed, or semantically invalid."""
+
+
+@contextmanager
+def config_errors(where: str):
+    """Report a ValueError raised inside as a ConfigError naming where."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +411,7 @@ def read_scenario(path) -> Scenario:
                 raise FileFormatError(
                     path, 1, f"page {event.page} references unknown source {event.source}"
                 )
-    clicks = sorted((t, pid) for pid, page in pages.items() for t in page.click_times)
-    return Scenario(config, tuple(events), pages, tuple(clicks))
+    return Scenario(config, tuple(events), pages)
 
 
 def write_click_log(path, scenario: Scenario) -> None:
@@ -720,10 +729,8 @@ def read_config(cls, node, context: str, fixed: "Mapping | None" = None, keys=No
             kwargs[name] = _config_value(hints[name], node[name], f"{context}.{name}")
         elif name not in kwargs and param.default is param.empty:
             raise ConfigError(f"{context}.{name}: missing required key")
-    try:
+    with config_errors(context):
         return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from None
 
 
 def _count(node: Mapping, key: str, context: str) -> int:
@@ -764,8 +771,10 @@ class ExperimentConfig:
     """One scenario family and the (policy x budget x seed) grid to run.
 
     run holds the settings every cell shares; make_run_config sets a cell's
-    policy and budget on it.  Every cell's RunConfig is built here, so a
-    policy or budget that RunConfig rejects is a ConfigError.
+    policy and budget on it.  Every cell's RunConfig and every seed's
+    ScenarioConfig is built here, and run's window on the scenario is
+    resolved, so a policy, budget, seed or warmup that those types reject is
+    a ConfigError.
     """
 
     scenario: ScenarioConfig
@@ -780,13 +789,15 @@ class ExperimentConfig:
             raise ConfigError("experiment needs at least one policy")
         if not self.seeds:
             raise ConfigError("experiment needs at least one seed")
+        with config_errors("seeds"):
+            for seed in self.seeds:
+                replace(self.scenario, seed=seed)
+        with config_errors("run"):
+            self.run.window(self.scenario)
         for policy in self.policies:
             for budget in self.budgets:
-                try:
+                with config_errors(f"policies/budgets {(policy, budget)!r}"):
                     self.make_run_config(policy, budget)
-                except ValueError as exc:
-                    cell = f"({policy!r}, {budget!r})"
-                    raise ConfigError(f"policies/budgets {cell}: {exc}") from None
 
     def runs(self) -> "list[tuple[int, str, float]]":
         """The full (seed, policy, budget) grid in deterministic order."""

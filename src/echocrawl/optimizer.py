@@ -48,7 +48,6 @@ tied utilities break in id order whatever order the rows come in.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -56,8 +55,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import SourceId, SourceParams, SourceTable, check_setting
-
-logger = logging.getLogger(__name__)
 
 # Utilities below this are treated as zero and never scheduled.
 _UTILITY_FLOOR = 1e-300
@@ -463,12 +460,6 @@ def solve_schedule(
             if need <= 0.0:
                 break
         pinched.update(src.sid(i) for i in dropped)
-        logger.debug(
-            "budget %.6g falls in the drop gap at utility %.6g; excluding %s",
-            budget,
-            u,
-            [src.sid(i) for i in dropped],
-        )
         src.drop(dropped)
 
 

@@ -36,7 +36,6 @@ every source, and argmax's first maximum is the lowest id.
 from __future__ import annotations
 
 import heapq
-import logging
 import math
 import random
 from dataclasses import dataclass
@@ -47,8 +46,6 @@ import numpy as np
 from .core import CrawlPage, PageId, RecrawlSource, Seconds, SourceId, SourceParams, check_setting
 from .estimators import DEFAULT_DECAY
 from .optimizer import Schedule
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,10 +11,10 @@ page fetches and to bound the achievable profit rate.
 from __future__ import annotations
 
 import heapq
-import logging
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -30,7 +30,6 @@ from .core import (
     SourceId,
     _source_error,
     check_setting,
-    total_realized_profit,
     quality_series,
     validate_trace,
 )
@@ -42,8 +41,6 @@ from .optimizer import (
     solve_schedule,
 )
 from .policies import CrawlPolicy, Idle, make_policy, POLICY_NAMES
-
-logger = logging.getLogger(__name__)
 
 DAY = 86400.0
 WEEK = 7 * DAY
@@ -105,6 +102,8 @@ class ScenarioConfig:
         if self.link_window < 1:
             raise ValueError(f"link_window must be >= 1, got {self.link_window}")
         check_setting("budget", self.budget)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         check_setting("daily_amplitude", self.daily_amplitude, ">= 0")
         check_setting("weekly_amplitude", self.weekly_amplitude, ">= 0")
         if self.daily_amplitude + self.weekly_amplitude > 1.0:
@@ -162,19 +161,22 @@ class PageGroundTruth:
 class Scenario:
     """Generated ground truth: link events, page click histories, config.
 
-    clicks is every (time, page) click event of pages, in time order.  run
-    does not read it: it queues a page's clicks from pages once the page is
-    discovered.
+    Each click is held once, in its page's click_times; clicks derives the
+    time-ordered stream from pages, and run does not read it.
     """
 
     config: ScenarioConfig
     events: "tuple[LinkEvent, ...]"
     pages: "Mapping[PageId, PageGroundTruth]"
-    clicks: "tuple[tuple[Seconds, PageId], ...]"
 
     @property
     def n_sources(self) -> int:
         return len(self.config.source_specs)
+
+    @cached_property
+    def clicks(self) -> "tuple[tuple[Seconds, PageId], ...]":
+        """Every (time, page) click event of pages, in time order."""
+        return tuple(sorted((t, p) for p, page in self.pages.items() for t in page.click_times))
 
 
 @dataclass(frozen=True)
@@ -209,6 +211,16 @@ class RunConfig:
             raise ValueError("history_size must be >= 2")
         if self.warmup is not None:
             check_setting("warmup", self.warmup, ">= 0")
+
+    def window(self, scenario: ScenarioConfig) -> "tuple[float, Seconds]":
+        """(budget, warmup) of a run on `scenario`: the scenario's budget
+        when none is set here, and two thirds of its horizon when no warmup
+        is.  Raises ValueError unless the warmup falls inside the horizon."""
+        budget = self.budget if self.budget is not None else scenario.budget
+        warmup = self.warmup if self.warmup is not None else scenario.horizon * (2.0 / 3.0)
+        if warmup >= scenario.horizon:
+            raise ValueError(f"warmup {warmup} must fall inside the horizon {scenario.horizon}")
+        return budget, warmup
 
 
 @dataclass(frozen=True)
@@ -295,7 +307,6 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     """
     events: "list[LinkEvent]" = []
     pages: "dict[PageId, PageGroundTruth]" = {}
-    clicks: "list[tuple[Seconds, PageId]]" = []
     next_page = 0
     window = config.link_window
     for sid, spec in enumerate(config.source_specs):
@@ -314,9 +325,7 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
             vanish = float(created[drop]) if drop < created.size else config.horizon
             events.append(LinkEvent(pid, sid, t0, vanish))
             pages[pid] = PageGroundTruth(pid, sid, t0, click_times)
-            clicks.extend((t, pid) for t in click_times)
-    clicks.sort()
-    return Scenario(config, tuple(events), pages, tuple(clicks))
+    return Scenario(config, tuple(events), pages)
 
 
 def oracle_upper_bound(scenario: Scenario) -> float:
@@ -386,12 +395,8 @@ def run(
     carries the instance's class name.
     """
     cfg = config or RunConfig()
-    scen = scenario.config
-    budget = cfg.budget if cfg.budget is not None else scen.budget
-    horizon = scen.horizon
-    warmup = cfg.warmup if cfg.warmup is not None else horizon * (2.0 / 3.0)
-    if warmup >= horizon:
-        raise ValueError(f"warmup {warmup} must fall inside the horizon {horizon}")
+    budget, warmup = cfg.window(scenario.config)
+    horizon = scenario.config.horizon
 
     sources = list(range(scenario.n_sources))
     policy_name = cfg.policy if policy is None else type(policy).__name__
@@ -417,6 +422,7 @@ def run(
     next_reschedule = 0.0
     idle_slots = 0
     schedule_failures = 0
+    total = tail = 0.0  # clicks realized in all and after the warm-up: exact sums
 
     def push_due_logs(now: Seconds) -> None:
         nonlocal next_push
@@ -440,12 +446,11 @@ def run(
             params = policy.schedule_params(estimator.params_snapshot(t))
             try:
                 policy.set_schedule(solve_schedule(params, budget))
-            except (ScheduleInfeasibleError, NoConvergenceError) as exc:
+            except (ScheduleInfeasibleError, NoConvergenceError):
                 if policy.schedule is None:  # no previous schedule to keep
                     raise
                 # keep steering by the previous schedule until estimates improve
                 schedule_failures += 1
-                logger.debug("reschedule at t=%.0f failed: %s", t, exc)
 
     for slot, now in _slot_times(horizon, budget):
         push_due_logs(now)
@@ -477,6 +482,9 @@ def run(
                 )
             fetched.add(pid)
             realized = float(scenario.pages[pid].clicks_after(now))
+            total += realized
+            if now >= warmup:
+                tail += realized
             trace.append(CrawlRecord(time=now, action=decision, realized_profit=realized))
             policy.observe_page_crawled(pid, now)
         elif isinstance(decision, Idle):
@@ -485,12 +493,6 @@ def run(
             raise SimulationError(f"unrecognized decision {decision!r}")
 
     validate_trace(trace, slot_width=1.0 / budget)
-    total = total_realized_profit(trace)
-    tail = sum(
-        rec.realized_profit
-        for rec in trace
-        if isinstance(rec.action, CrawlPage) and rec.time >= warmup
-    )
     report = MetricReport(
         policy=policy_name,
         budget=budget,
@@ -499,7 +501,7 @@ def run(
         overall_quality=tail / (horizon - warmup),
         full_quality=total / horizon,
         total_profit=total,
-        recrawls=sum(1 for r in trace if isinstance(r.action, RecrawlSource)),
+        recrawls=len(trace) - len(fetched),
         page_fetches=len(fetched),
         idle_slots=idle_slots,
         discovered_pages=len(discovered),

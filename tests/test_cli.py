@@ -646,6 +646,53 @@ class TestRunAndReportCommands:
         assert "budget must be finite and > 0, got nan" in done.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, edit, flags, message",
+        [
+            (
+                "run",
+                lambda n: n.update(run={"warmup": 86400}),
+                [],
+                "run: warmup 86400.0 must fall inside the horizon 86400.0",
+            ),
+            (
+                "generate",
+                lambda n: n["scenario"].update(seed=-1),
+                [],
+                "scenario: seed must be >= 0, got -1",
+            ),
+            (
+                "run",
+                lambda n: n["scenario"].update(seed=-1),
+                [],
+                "config.scenario: seed must be >= 0, got -1",
+            ),
+            ("run", lambda n: n.update(seeds=[0, -1]), [], "seeds: seed must be >= 0, got -1"),
+            ("generate", lambda n: None, ["--seed", "-1"], "--seed: seed must be >= 0, got -1"),
+            ("run", lambda n: None, ["--seed", "-1"], "--seed: seed must be >= 0, got -1"),
+        ],
+    )
+    def test_config_errors_exit_2_before_any_crawl(
+        self, command, edit, flags, message, tmp_path, capsys, monkeypatch
+    ):
+        # a one-day copy of preset:main
+        node = cli._load_config("preset:main")
+        node["scenario"]["horizon"] = 86400.0
+        node["out"] = str(tmp_path / "out")
+        edit(node)
+        config = tmp_path / "day.yaml"
+        config.write_text(yaml.safe_dump(node))
+
+        def never(*args, **kwargs):
+            raise AssertionError("a crawl started")
+
+        monkeypatch.setattr(cli, "generate_scenario", never)
+        monkeypatch.setattr(cli, "run", never)
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "out"), *flags]
+        assert cli.main([*argv, "--quiet"]) == cli.EXIT_CONFIG
+        assert f"config error: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_report_aggregates_and_emits_series(self, grid):
         out = grid / "rep"
         reports = sorted(str(p) for p in (grid / "out").glob("*.report.csv"))

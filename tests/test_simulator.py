@@ -6,15 +6,10 @@ closed-form quality of a solved schedule."""
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from echocrawl.core import (
-    CrawlPage,
-    MetricConfig,
-    RecrawlSource,
-    SourceParams,
-    total_realized_profit,
-)
+from echocrawl.core import CrawlPage, MetricConfig, RecrawlSource, SourceParams
 from echocrawl import cli, fileio
 from echocrawl.estimators import EstimatorState
 from echocrawl.optimizer import ScheduleInfeasibleError, closed_form_quality, solve_schedule
@@ -34,20 +29,19 @@ from echocrawl.simulator import (
 )
 
 DAY = 86400.0
+WEEK = 7 * DAY
 
 
 def tiny_scenario(click_times=((5.0, 7.0),), horizon=100.0):
     """Hand-built scenario: one source, one page per click_times entry."""
     specs = (SourceSpec(0.01, 1.0, 0.001),)
     config = ScenarioConfig(specs, horizon=horizon, link_window=5, budget=0.1)
-    events, pages, clicks = [], {}, []
+    events, pages = [], {}
     for pid, times in enumerate(click_times):
         created = float(pid)
         events.append(LinkEvent(pid, 0, created, horizon))
         pages[pid] = PageGroundTruth(pid, 0, created, tuple(times))
-        clicks.extend((t, pid) for t in times)
-    clicks.sort()
-    return Scenario(config, tuple(events), pages, tuple(clicks))
+    return Scenario(config, tuple(events), pages)
 
 
 class TestConfigValidation:
@@ -79,6 +73,8 @@ class TestConfigValidation:
             ScenarioConfig((spec,), horizon=100.0, daily_amplitude=0.7, weekly_amplitude=0.5)
         with pytest.raises(ValueError):
             ScenarioConfig((spec,), horizon=100.0, click_distribution="uniform")
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            ScenarioConfig((spec,), horizon=100.0, seed=-1)
 
     def test_run_config_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -91,6 +87,9 @@ class TestConfigValidation:
             RunConfig(history_size=1)
         with pytest.raises(ValueError):
             RunConfig(warmup=-1.0)
+        scenario = ScenarioConfig((SourceSpec(0.01, 1.0, 0.001),), horizon=90.0)
+        with pytest.raises(ValueError, match="warmup 90.0 must fall inside the horizon 90.0"):
+            RunConfig(warmup=90.0).window(scenario)
 
 
 class TestGenerator:
@@ -157,18 +156,27 @@ class TestGenerator:
             assert abs(observed - expected) <= 3.0 * sigma, delta
 
     def test_daily_modulation_concentrates_pages_in_peak_half(self):
-        config = ScenarioConfig(
-            (SourceSpec(0.02, 1.0, 1e-3),),
-            horizon=10 * DAY,
-            seed=5,
-            daily_amplitude=1.0,
-        )
-        scenario = generate_scenario(config)
-        created = [p.created for p in scenario.pages.values()]
-        in_peak = sum(1 for t in created if math.sin(2 * math.pi * t / DAY) > 0)
-        # intensity 1 + sin(phase): the positive half carries (pi+2)/(2pi)
-        expected = (math.pi + 2.0) / (2.0 * math.pi)
-        assert abs(in_peak / len(created) - expected) < 0.05
+        for daily, weekly in ((1.0, 0.0), (0.5, 0.5)):
+            config = ScenarioConfig(
+                (SourceSpec(0.02, 1.0, 1e-3),),
+                horizon=10 * DAY,
+                seed=5,
+                daily_amplitude=daily,
+                weekly_amplitude=weekly,
+            )
+            scenario = generate_scenario(config)
+            created = np.array([p.created for p in scenario.pages.values()])
+            # the share of the intensity 1 + a_d sin(daily phase) + a_w
+            # sin(weekly phase) that falls in each period's positive half;
+            # for (1, 0) the daily share is (pi+2)/(2pi)
+            grid = np.linspace(0.0, config.horizon, 1_000_000, endpoint=False)
+            intensity = 1.0 + daily * np.sin(2 * np.pi * grid / DAY)
+            intensity += weekly * np.sin(2 * np.pi * grid / WEEK)
+            for period in (DAY, WEEK):
+                peak = np.sin(2 * np.pi * grid / period) > 0
+                expected = intensity[peak].sum() / intensity.sum()
+                in_peak = np.mean(np.sin(2 * np.pi * created / period) > 0)
+                assert abs(in_peak - expected) < 0.02, (daily, weekly, period)
 
     def test_vanish_is_creation_of_window_plus_first_subsequent_page(self):
         config = ScenarioConfig(
@@ -257,7 +265,7 @@ class TestRun:
         trace, report = run(midsize_scenario, RunConfig(policy=policy))
         assert_legal_trace(midsize_scenario, trace, midsize_scenario.config.budget)
         total = sum(p.total_clicks for p in midsize_scenario.pages.values())
-        assert total_realized_profit(trace) <= total
+        assert sum(r.realized_profit for r in trace) <= total
         assert report.full_quality <= oracle_upper_bound(midsize_scenario) + 1e-12
 
     def test_run_is_deterministic(self, midsize_scenario):
@@ -282,23 +290,29 @@ class TestRun:
         assert bool(calls) == (policy == "echo-greedy")
 
     def test_report_accounting(self, midsize_scenario):
-        config = RunConfig(policy="echo-greedy")
-        trace, report = run(midsize_scenario, config)
-        budget = midsize_scenario.config.budget
-        slots = math.ceil(midsize_scenario.config.horizon * budget)
-        assert report.recrawls + report.page_fetches + report.idle_slots == slots
-        assert report.recrawls == sum(
-            1 for r in trace if isinstance(r.action, RecrawlSource)
-        )
-        assert report.page_fetches == sum(
-            1 for r in trace if isinstance(r.action, CrawlPage)
-        )
-        assert report.discovered_pages + report.missed_pages == len(
-            midsize_scenario.pages
-        )
-        assert report.total_profit == pytest.approx(total_realized_profit(trace))
-        assert report.unknown_clicks == 0
-        assert report.warmup == pytest.approx(midsize_scenario.config.horizon * 2 / 3)
+        # the report the loop counts, against the trace it wrote
+        horizon = midsize_scenario.config.horizon
+        slots = math.ceil(horizon * midsize_scenario.config.budget)
+        for policy in POLICY_NAMES:
+            trace, report = run(midsize_scenario, RunConfig(policy=policy))
+            assert report.recrawls + report.page_fetches + report.idle_slots == slots
+            assert report.recrawls == sum(
+                1 for r in trace if isinstance(r.action, RecrawlSource)
+            )
+            assert report.page_fetches == sum(
+                1 for r in trace if isinstance(r.action, CrawlPage)
+            )
+            assert report.discovered_pages + report.missed_pages == len(
+                midsize_scenario.pages
+            )
+            # realized profits are click counts: every sum is exact
+            assert report.total_profit == sum(r.realized_profit for r in trace)
+            assert report.warmup == pytest.approx(horizon * 2 / 3)
+            tail = sum(r.realized_profit for r in trace if r.time >= report.warmup)
+            assert report.overall_quality * (horizon - report.warmup) == pytest.approx(
+                tail, rel=1e-12
+            )
+            assert report.unknown_clicks == 0
 
     def test_overall_quality_is_tail_rate(self, midsize_scenario):
         config = RunConfig(policy="bfs", warmup=1 * DAY)
@@ -362,6 +376,16 @@ class _RogueDoubleFetch(CrawlPolicy):
         return RecrawlSource(0)
 
 
+class _RogueUnknownSource(CrawlPolicy):
+    def decide(self, now, slot_index=0):
+        return RecrawlSource(99)
+
+
+class _RogueDecisionType(CrawlPolicy):
+    def decide(self, now, slot_index=0):
+        return "fetch something"
+
+
 class TestIllegalDecisions:
     def test_unknown_page_fetch_aborts(self, midsize_scenario):
         with pytest.raises(SimulationError, match="undiscovered"):
@@ -370,6 +394,14 @@ class TestIllegalDecisions:
     def test_double_fetch_aborts(self, midsize_scenario):
         with pytest.raises(SimulationError, match="already"):
             run(midsize_scenario, RunConfig(), policy=_RogueDoubleFetch(range(5)))
+
+    def test_unknown_source_recrawl_aborts(self, midsize_scenario):
+        with pytest.raises(SimulationError, match="recrawled unknown source 99 at t=0.0"):
+            run(midsize_scenario, RunConfig(), policy=_RogueUnknownSource(range(5)))
+
+    def test_unrecognized_decision_aborts(self, midsize_scenario):
+        with pytest.raises(SimulationError, match="unrecognized decision 'fetch something'"):
+            run(midsize_scenario, RunConfig(), policy=_RogueDecisionType(range(5)))
 
 
 class _FailsSecondSolve(EchoSchedulePolicy):
