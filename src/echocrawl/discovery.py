@@ -12,6 +12,7 @@ Two complementary views:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -47,27 +48,33 @@ class HostSnapshot:
 
 @dataclass(frozen=True)
 class LinkCorpus:
-    """Observed transitions from candidate source pages to ephemeral pages."""
+    """Observed transitions from candidate source pages to ephemeral pages.
+
+    Each source's linked pages and the distinct pages of the whole corpus
+    are collected once, when the corpus is built.
+    """
 
     links: "tuple[tuple[PageId, PageId, Seconds], ...]"
 
     def __init__(self, links: Iterable["tuple[PageId, PageId, float]"]):
         items = tuple((int(s), int(t), float(ts)) for s, t, ts in links)
-        seen: "set[tuple[PageId, PageId]]" = set()
+        by_source: "dict[PageId, set[PageId]]" = {}
+        distinct: "set[PageId]" = set()
         for s, t, _ in items:
-            if (s, t) in seen:
+            pages = by_source.setdefault(s, set())
+            if t in pages:
                 raise ValueError(f"duplicate link pair ({s}, {t})")
-            seen.add((s, t))
+            pages.add(t)
+            distinct.add(t)
         object.__setattr__(self, "links", items)
+        object.__setattr__(self, "_by_source", by_source)
+        object.__setattr__(self, "_pages", frozenset(distinct))
 
     def pages_by_source(self) -> "dict[PageId, set[PageId]]":
-        out: "dict[PageId, set[PageId]]" = {}
-        for s, t, _ in self.links:
-            out.setdefault(s, set()).add(t)
-        return out
+        return {s: set(pages) for s, pages in self._by_source.items()}
 
-    def distinct_pages(self) -> "set[PageId]":
-        return {t for _, t, _ in self.links}
+    def distinct_pages(self) -> "frozenset[PageId]":
+        return self._pages
 
 
 def find_content_sources(
@@ -111,20 +118,25 @@ def greedy_source_cover(
     if not 0.0 < target_fraction <= 1.0:
         raise ValueError(f"target_fraction must be in (0, 1], got {target_fraction}")
 
-    remaining = corpus.pages_by_source()
-    total = len(corpus.distinct_pages())
+    # Lazy greedy: the heap holds each source's gain as last scored, which
+    # only shrinks as pages get covered (coverage is submodular).  So a
+    # source re-scored on top whose (-gain, id) key is still at most the
+    # next stale key beats every other source's fresh key too.
+    left = dict(corpus._by_source)  # each source's uncovered pages, as last scored
+    total = len(corpus._pages)
+    heap = [(-len(pages), s) for s, pages in left.items()]
+    heapq.heapify(heap)
     covered: "set[PageId]" = set()
     picks: "list[tuple[PageId, float]]" = []
-    while remaining:
-        best, best_pages = min(
-            remaining.items(), key=lambda kv: (-len(kv[1]), kv[0])
-        )
-        covered |= best_pages
-        del remaining[best]
-        for pages in remaining.values():
-            pages -= best_pages
+    while heap:
+        _, source = heapq.heappop(heap)
+        pages = left[source] = left[source] - covered
+        if heap and (-len(pages), source) > heap[0]:
+            heapq.heappush(heap, (-len(pages), source))
+            continue
+        covered |= pages
         fraction = len(covered) / total
-        picks.append((best, fraction))
+        picks.append((source, fraction))
         if fraction >= target_fraction:
             break
     return picks

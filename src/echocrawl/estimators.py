@@ -4,8 +4,9 @@ Three per-source quantities feed the interval solver:
 
 - (P, mu): the profit curve P(1 - exp(-mu * age)), least-squares fitted to
   a click histogram by variable projection: the best P for a given mu is
-  closed form, so the fit is an exact one-dimensional search over mu
-  (fit_profit_curve),
+  closed form, so the fit is an exact one-dimensional search over mu, a
+  grid scan and then the root of F's slope (fit_profit_curve), whose value
+  at the best P is the partial dF/dmu (the envelope theorem),
 - lambda: the new-page rate, a Gamma posterior mean over the arrivals seen
   after a first observation (posterior_rate): new links of the recrawls
   after the first in a source's recent window online, page creations after
@@ -43,9 +44,6 @@ DEFAULT_MAX_CLICK_AGE = 14 * 86400.0
 # since the fit, and this share of the clicks it was fitted on.
 REFIT_MIN_CLICKS = 40
 REFIT_GROWTH = 0.10
-
-# Interior-point ratio of the golden-section search.
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -143,6 +141,26 @@ def fit_objective(
     return value, d_profit, d_decay
 
 
+def _profile(
+    y: np.ndarray, ages: np.ndarray, decay: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """(F, dF/dlog10(mu), P) of the fit at its best profit P(mu), one row
+    per decay.
+
+    P(mu) = max(0, m.y / m.m) with m_i = 1 - exp(-mu a_i).  At that P,
+    dF/dP is 0, or P is clipped to 0 and F does not depend on mu, so by the
+    envelope theorem the slope of F along P(mu) is fit_objective's dF/dmu
+    times mu ln 10 (0 where P is clipped).
+    """
+    exponent = -decay[:, None] * ages
+    model = -np.expm1(exponent)
+    profit = np.maximum(model @ y / np.einsum("ij,ij->i", model, model), 0.0)
+    err = profit[:, None] * model - y
+    value = np.einsum("ij,ij->i", err, err)
+    slope = np.einsum("ij,ij->i", err, ages * np.exp(exponent))
+    return value, slope * (2.0 * math.log(10.0) * profit * decay), profit
+
+
 def fit_profit_curve(
     hist: ClickHistogram,
     min_decay: float | None = None,
@@ -155,8 +173,13 @@ def fit_profit_curve(
     mu is searched (variable projection).  The search runs over
     log10(mu D) on a 0.1-decade grid from max(1e-12, min_decay D) up to
     mu D = 40 (past ~37, 1 - exp(-mu i D) is exactly 1.0 at every bin, so
-    larger decays all give the same curve), then refines the best grid
-    point's bracket by golden-section search to a width of 1e-12 decades.
+    larger decays all give the same curve).  Where the slope of F in
+    log10(mu) changes sign between the best grid point and a neighbour,
+    the search then finds its root there by secant steps through the last
+    two points, bisecting when a step would leave the bracket or move
+    further than half the step before last, until the bracket is 1e-12
+    decades wide or a slope is exactly 0.  Where it does not (the best
+    point is at an edge, or F is flat there) the grid point stands.
     The returned curve is the best one evaluated; its decay is never below
     min_decay.  When trace is given, the objective F (raw units) of every
     evaluation is appended to it.
@@ -179,36 +202,51 @@ def fit_profit_curve(
     floor = max(1e-12 / hist.bin_size, min_decay or 0.0)
     best = [math.inf, 0.0, floor]  # F, P, mu of the best evaluation so far
 
-    def evaluate(log_x: np.ndarray) -> np.ndarray:
-        """F at P(mu) for each mu = 10^log_x / D (one row per mu)."""
+    def evaluate(log_x: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """F and its slope at P(mu) for each mu = 10^log_x / D (one row per mu)."""
         decay = np.maximum(10.0**log_x / hist.bin_size, floor)
-        model = -np.expm1(-decay[:, None] * ages)
-        profit = np.maximum(model @ y / np.einsum("ij,ij->i", model, model), 0.0)
-        err = profit[:, None] * model - y
-        value = np.einsum("ij,ij->i", err, err)
+        value, slope, profit = _profile(y, ages, decay)
         k = int(np.argmin(value))
         if value[k] < best[0]:
             best[:] = value[k], profit[k], decay[k]
         if trace is not None:
             trace.extend(value.tolist())
-        return value
+        return value, slope
 
     low, high = math.log10(floor * hist.bin_size), math.log10(40.0)
     grid = np.append(np.arange(low, high, 0.1), max(low, high))
-    k = int(np.argmin(evaluate(grid)))
-    # golden-section search between the best grid point's neighbours
-    a, b = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
-    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    fc, fd = evaluate(np.array([c, d]))
+    values, slopes = evaluate(grid)
+    k = int(np.argmin(values))
+    # The root of the slope lies between the best grid point and the
+    # neighbour its slope points to, if the slope changes sign there;
+    # otherwise (an edge, or a flat minimum) the grid point stands.
+    j = k + 1 if slopes[k] < 0.0 else k - 1
+    if not (0 <= j < len(grid) and slopes[j] * slopes[k] < 0.0):
+        return ProfitCurve(float(best[1]), float(best[2]))
+    # the last two points evaluated, and the bracket: slope < 0 at a, > 0 at b
+    x, fx, w, fw = float(grid[k]), float(slopes[k]), float(grid[j]), float(slopes[j])
+    a, b = min(x, w), max(x, w)
+    step = step_old = b - a
     while b - a > 1e-12:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = evaluate(np.array([c]))[0]
+        # the secant through the last two points, or the midpoint when that
+        # leaves the bracket or moves further than half the step before last
+        new = 0.5 * (a + b)
+        if fx != fw:
+            secant = x - fx * (x - w) / (fx - fw)
+            if a <= secant <= b and 2.0 * abs(secant - x) <= step_old:
+                new = secant
+        # at least half the stopping width from either end, so a root next
+        # to one end is closed in by the step that lands on its other side
+        new = min(max(new, a + 5e-13), b - 5e-13)
+        step_old, step = step, abs(new - x)
+        w, fw, x = x, fx, new
+        fx = float(evaluate(np.array([x]))[1][0])
+        if fx == 0.0:
+            break
+        if fx < 0.0:
+            a = x
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = evaluate(np.array([d]))[0]
+            b = x
     return ProfitCurve(float(best[1]), float(best[2]))
 
 

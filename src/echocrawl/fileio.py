@@ -772,9 +772,10 @@ class ExperimentConfig:
 
     run holds the settings every cell shares; make_run_config sets a cell's
     policy and budget on it.  Every cell's RunConfig and every seed's
-    ScenarioConfig is built here, and run's window on the scenario is
-    resolved, so a policy, budget, seed or warmup that those types reject is
-    a ConfigError.
+    ScenarioConfig is built here, and the window of run and of every cell
+    on the scenario is resolved, so a policy, budget, seed or warmup that
+    those types reject, or a cell with more than simulator.MAX_SLOTS fetch
+    slots, is a ConfigError.
     """
 
     scenario: ScenarioConfig
@@ -797,7 +798,7 @@ class ExperimentConfig:
         for policy in self.policies:
             for budget in self.budgets:
                 with config_errors(f"policies/budgets {(policy, budget)!r}"):
-                    self.make_run_config(policy, budget)
+                    self.make_run_config(policy, budget).window(self.scenario)
 
     def runs(self) -> "list[tuple[int, str, float]]":
         """The full (seed, policy, budget) grid in deterministic order."""

@@ -47,6 +47,11 @@ WEEK = 7 * DAY
 
 CLICK_DISTRIBUTIONS = ("geometric", "poisson")
 
+# Most fetch slots one run may have.  A slot costs about 14 us of crawl
+# loop and 150 bytes of trace, so this many take over two minutes and about
+# 1.5 GB; a budget that asks for more is a unit slip, not a crawl.
+MAX_SLOTS = 10_000_000
+
 
 class SimulationError(RuntimeError):
     """A policy emitted a decision the crawler cannot legally execute."""
@@ -215,11 +220,18 @@ class RunConfig:
     def window(self, scenario: ScenarioConfig) -> "tuple[float, Seconds]":
         """(budget, warmup) of a run on `scenario`: the scenario's budget
         when none is set here, and two thirds of its horizon when no warmup
-        is.  Raises ValueError unless the warmup falls inside the horizon."""
+        is.  Raises ValueError unless the warmup falls inside the horizon
+        and the run has at most MAX_SLOTS fetch slots (ceil(horizon *
+        budget))."""
         budget = self.budget if self.budget is not None else scenario.budget
         warmup = self.warmup if self.warmup is not None else scenario.horizon * (2.0 / 3.0)
         if warmup >= scenario.horizon:
             raise ValueError(f"warmup {warmup} must fall inside the horizon {scenario.horizon}")
+        if scenario.horizon * budget > MAX_SLOTS:
+            raise ValueError(
+                f"budget {budget} gives {scenario.horizon * budget:.4g} fetch slots over "
+                f"the horizon {scenario.horizon}; a run may have at most {MAX_SLOTS}"
+            )
         return budget, warmup
 
 

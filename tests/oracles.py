@@ -7,8 +7,10 @@ in decimal arithmetic too, and the crossing oracle scans every utility
 level with the scalar g_inverse instead of searching them with the
 vectorized inversion.  The decision oracles rank every source in a Python
 loop by the policies' tie-break keys, over plain dicts, where the policies
-use arrays.  The curve-fit oracle scans a dense fixed set of
-decays where the fit searches adaptively.
+use arrays.  The curve-fit oracles scan a dense fixed set of decays, or
+refine the fit's grid by golden-section search, where the fit finds the
+root of its slope.  The cover oracle rescans every source at every pick
+where the cover keeps a heap of stale gains.
 """
 
 import math
@@ -200,3 +202,64 @@ def dense_fit_oracle(targets, bin_size, min_decay=None, points=10_000):
         if value < best[0]:
             best = (value, profit, float(decay))
     return best[1], best[2], best[0]
+
+
+def golden_fit_oracle(targets, bin_size, min_decay=None):
+    """Least-squares (P, mu, F) of P(1 - e^(-mu a)) by the fit's own
+    0.1-decade grid over log10(mu D), then golden-section search between
+    the best grid point's neighbours down to 1e-12 decades, each decay with
+    its closed-form best profit max(0, m.y / m.m).  F is the least of every
+    evaluation, and (P, mu) are its curve's."""
+    y = np.asarray(targets[1:], dtype=float)
+    ages = bin_size * np.arange(1, len(targets), dtype=float)
+    floor = max(1e-12 / bin_size, min_decay or 0.0)
+    best = [math.inf, 0.0, floor]
+
+    def evaluate(log_x):
+        decay = np.maximum(10.0**log_x / bin_size, floor)
+        model = -np.expm1(-decay[:, None] * ages)
+        profit = np.maximum(model @ y / np.einsum("ij,ij->i", model, model), 0.0)
+        err = profit[:, None] * model - y
+        value = np.einsum("ij,ij->i", err, err)
+        k = int(np.argmin(value))
+        if value[k] < best[0]:
+            best[:] = value[k], profit[k], decay[k]
+        return value
+
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    low, high = math.log10(floor * bin_size), math.log10(40.0)
+    grid = np.append(np.arange(low, high, 0.1), max(low, high))
+    k = int(np.argmin(evaluate(grid)))
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+    c, d = b - golden * (b - a), a + golden * (b - a)
+    fc, fd = evaluate(np.array([c, d]))
+    while b - a > 1e-12:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - golden * (b - a)
+            fc = evaluate(np.array([c]))[0]
+        else:
+            a, c, fc = c, d, fd
+            d = a + golden * (b - a)
+            fd = evaluate(np.array([d]))[0]
+    return float(best[1]), float(best[2]), float(best[0])
+
+
+def plain_cover_oracle(by_source, total, target_fraction):
+    """Greedy cover by a full scan per pick: the source covering the most
+    not-yet-covered pages (ties to the smaller id), with the cumulative
+    coverage fraction over `total` pages, until it reaches the target."""
+    remaining = {s: set(pages) for s, pages in by_source.items()}
+    covered = set()
+    picks = []
+    while remaining:
+        best, best_pages = min(remaining.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+        covered |= best_pages
+        del remaining[best]
+        for pages in remaining.values():
+            pages -= best_pages
+        fraction = len(covered) / total
+        picks.append((best, fraction))
+        if fraction >= target_fraction:
+            break
+    return picks

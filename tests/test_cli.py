@@ -621,20 +621,17 @@ class TestRunAndReportCommands:
         assert cli.main(["run", "--config", str(config), "--jobs", jobs]) == cli.EXIT_SOLVER
         assert "budget infeasible" in capsys.readouterr().err
 
-    def test_nan_budget_exits_2_without_crawling(self, tmp_path):
-        # A NaN budget makes every fetch slot's time NaN, so a crawl that
-        # started would never reach its horizon: run it in a child process
-        # with a time limit and a 2 GiB address-space cap.
-        node = yaml.safe_load(TINY_CONFIG.format(out=tmp_path / "out"))
-        node.update(policies=["bfs"], budgets=[math.nan])
-        config = tmp_path / "nan.yaml"
-        config.write_text(yaml.safe_dump(node))
+    @staticmethod
+    def run_in_child(config):
+        """`run --config config --quiet` in a child process with a time
+        limit and a 2 GiB address-space cap, for configs that would crawl
+        without end if they were not rejected first."""
 
         def cap_memory():
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        done = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "echocrawl", "run", "--config", str(config), "--quiet"],
             capture_output=True,
             text=True,
@@ -642,8 +639,33 @@ class TestRunAndReportCommands:
             preexec_fn=cap_memory,
             env=env,
         )
+
+    def test_nan_budget_exits_2_without_crawling(self, tmp_path):
+        # A NaN budget makes every fetch slot's time NaN, so a crawl that
+        # started would never reach its horizon.
+        node = yaml.safe_load(TINY_CONFIG.format(out=tmp_path / "out"))
+        node.update(policies=["bfs"], budgets=[math.nan])
+        config = tmp_path / "nan.yaml"
+        config.write_text(yaml.safe_dump(node))
+        done = self.run_in_child(config)
         assert done.returncode == cli.EXIT_CONFIG, done.stderr
         assert "budget must be finite and > 0, got nan" in done.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_budget_above_slot_cap_exits_2_without_crawling(self, tmp_path):
+        # 1e300 fetches/s over the 12-hour horizon is 4.32e304 fetch slots,
+        # each appending to the trace; the cap is checked for every cell,
+        # not just for the run settings, which set no budget here.
+        node = yaml.safe_load(TINY_CONFIG.format(out=tmp_path / "out"))
+        node.update(policies=["bfs"], budgets=[0.02, 1.0e300])
+        config = tmp_path / "huge.yaml"
+        config.write_text(yaml.safe_dump(node))
+        done = self.run_in_child(config)
+        assert done.returncode == cli.EXIT_CONFIG, done.stderr
+        assert (
+            "config error: policies/budgets ('bfs', 1e+300): budget 1e+300 gives "
+            "4.32e+304 fetch slots over the horizon 43200.0; a run may have at most 10000000"
+        ) in done.stderr
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

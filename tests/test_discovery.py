@@ -5,6 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from echocrawl.discovery import (
     HostSnapshot,
@@ -12,6 +13,7 @@ from echocrawl.discovery import (
     find_content_sources,
     greedy_source_cover,
 )
+from oracles import plain_cover_oracle
 
 DAY = 86400.0
 
@@ -116,6 +118,23 @@ class TestGreedyCover:
             greedy_source_cover(corpus_of({1: {2}}), 0.0)
         with pytest.raises(ValueError):
             greedy_source_cover(corpus_of({1: {2}}), 1.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mapping=st.dictionaries(
+            st.integers(0, 40),
+            st.sets(st.integers(0, 25), min_size=1, max_size=8),
+            min_size=1,
+            max_size=15,
+        ),
+        target=st.sampled_from([0.3, 0.5, 0.8, 0.95, 1.0]),
+    )
+    def test_lazy_picks_equal_plain_scan(self, mapping, target):
+        # few pages per source over a small page range: many gains tie, and
+        # stale gains go out of date at every pick
+        corpus = corpus_of(mapping)
+        expected = plain_cover_oracle(mapping, len(corpus.distinct_pages()), target)
+        assert greedy_source_cover(corpus, target) == expected
 
     def test_each_step_marginal_gain_maximal(self):
         rng = np.random.default_rng(17)

@@ -22,7 +22,7 @@ from echocrawl.estimators import (
     posterior_rate,
 )
 from echocrawl import estimators
-from oracles import dense_fit_oracle
+from oracles import dense_fit_oracle, golden_fit_oracle
 
 
 def model_histogram(profit, decay, bin_size, bins, page_count=1):
@@ -98,6 +98,28 @@ class TestFitObjective:
         with pytest.raises(ValueError):
             fit_objective(ClickHistogram(10.0, [0.0], 1), 1.0, 1.0)
 
+    def test_search_slope_is_envelope_derivative(self):
+        # at P = P(mu) the fit's search slope dF/dlog10(mu) is
+        # fit_objective's partial dF/dmu times mu ln 10
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            bins = int(rng.integers(2, 30))
+            bin_size = float(10.0 ** rng.uniform(0, 5))
+            cumulative = [0.0, *np.cumsum(rng.gamma(0.5, 3.0, bins))]
+            hist = ClickHistogram(bin_size, cumulative, int(rng.integers(1, 50)))
+            y = np.asarray(hist.targets()[1:])
+            ages = bin_size * np.arange(1, bins + 1, dtype=float)
+            decays = 10.0 ** rng.uniform(-3, 1, 8) / bin_size
+            values, slopes, profits = estimators._profile(y, ages, decays)
+            for value, slope, profit, decay in zip(values, slopes, profits, decays):
+                f, d_profit, d_decay = fit_objective(hist, float(profit), float(decay))
+                assert value == pytest.approx(f, rel=1e-9)
+                assert abs(d_profit) <= 1e-9 * float(np.abs(y).sum())  # P is optimal
+                assert slope == pytest.approx(d_decay * decay * math.log(10.0), rel=1e-9)
+        # all clicks zero: P(mu) is 0 and F is flat in mu
+        _, slopes, profits = estimators._profile(np.zeros(5), ages[:5], decays)
+        assert not profits.any() and not slopes.any()
+
 
 def span_floor(hist):
     """The online estimator's decay floor: 1 / (the histogram's span)."""
@@ -133,7 +155,7 @@ class TestFitProfitCurve:
         hist = model_histogram(profit=1.5, decay=0.8, bin_size=1.0, bins=20)
         trace = []
         curve = fit_profit_curve(hist, trace=trace)
-        assert len(trace) > 100  # grid plus golden-section refinement
+        assert len(trace) > 100  # the 137-point grid plus the root search
         value = fit_objective(hist, curve.profit, curve.decay)[0]
         assert value == pytest.approx(min(trace), rel=1e-9, abs=1e-24)
 
@@ -180,6 +202,42 @@ class TestFitProfitCurve:
         y = np.asarray(hist.targets())
         assert value <= best * (1 + 1e-9) + 1e-20 * float(y @ y)
         assert curve.decay >= (min_decay or 0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        counts=st.lists(st.integers(0, 30), min_size=1, max_size=40),
+        pages=st.integers(1, 20),
+        bin_size=st.sampled_from([1.0, 60.0, 1200.0, 86400.0]),
+        floored=st.booleans(),
+    )
+    def test_no_worse_than_golden_section(self, counts, pages, bin_size, floored):
+        # The root search ends no worse than the golden-section search it
+        # replaced, from the same grid point (F as each search evaluated
+        # it).  Near an exact fit, or at the edge of a linear one, F is
+        # rounding noise, and golden section's many points land on lucky
+        # noise: allow 1e-24 of sum(y^2), residuals equal to 12 digits.
+        hist = ClickHistogram(bin_size, np.cumsum([0, *counts]), pages)
+        min_decay = span_floor(hist) if floored else None
+        trace = []
+        fit_profit_curve(hist, min_decay, trace)
+        _, _, golden = golden_fit_oracle(hist.targets(), bin_size, min_decay)
+        y = np.asarray(hist.targets())
+        assert min(trace) <= golden * (1 + 1e-12) + 1e-24 * float(y @ y)
+
+    @pytest.mark.parametrize(
+        "profit, decay, bin_size, bins",
+        [(5.0, 0.002, 1200.0, 20), (2.0, 0.001, 900.0, 15), (1.5, 0.8, 1.0, 20)],
+    )
+    def test_root_search_evaluation_bound(self, profit, decay, bin_size, bins):
+        # a 0.1-decade bracket down to 1e-12 decades took golden section
+        # about 57 evaluations; the root search takes at most 15
+        hist = model_histogram(profit, decay, bin_size, bins)
+        trace = []
+        curve = fit_profit_curve(hist, trace=trace)
+        grid = len(np.arange(-12.0, math.log10(40.0), 0.1)) + 1
+        assert grid < len(trace) <= grid + 15
+        assert curve.profit == pytest.approx(profit, rel=1e-9)
+        assert curve.decay == pytest.approx(decay, rel=1e-9)
 
     def test_span_floor_bounds_sparse_late_clicks(self):
         # one click in the last of 5 bins: the data is convex, so the

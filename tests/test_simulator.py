@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from echocrawl.core import CrawlPage, MetricConfig, RecrawlSource, SourceParams
-from echocrawl import cli, fileio
+from echocrawl import cli, fileio, simulator
 from echocrawl.estimators import EstimatorState
 from echocrawl.optimizer import ScheduleInfeasibleError, closed_form_quality, solve_schedule
 from echocrawl.policies import POLICY_NAMES, CrawlPolicy, EchoSchedulePolicy, make_policy
 from echocrawl.simulator import (
+    MAX_SLOTS,
     LinkEvent,
     PageGroundTruth,
     RunConfig,
@@ -90,6 +91,21 @@ class TestConfigValidation:
         scenario = ScenarioConfig((SourceSpec(0.01, 1.0, 0.001),), horizon=90.0)
         with pytest.raises(ValueError, match="warmup 90.0 must fall inside the horizon 90.0"):
             RunConfig(warmup=90.0).window(scenario)
+
+    def test_run_rejects_budget_above_slot_cap_before_any_slot(self, monkeypatch):
+        # with the cap unchecked, 1e300 fetches/s would be 8.64e304 slots:
+        # make the slot loop fail instead of running
+        def no_slots(horizon, budget):
+            raise AssertionError("the crawl loop started")
+
+        monkeypatch.setattr(simulator, "_slot_times", no_slots)
+        scenario = tiny_scenario(horizon=DAY)
+        with pytest.raises(ValueError, match=r"^budget 1e\+300 gives 8\.64e\+304 fetch slots"):
+            run(scenario, RunConfig(policy="bfs", budget=1e300))
+        # the cap counts ceil(horizon * budget) slots, the count the loop makes
+        assert RunConfig(budget=MAX_SLOTS / DAY).window(scenario.config)[0] == MAX_SLOTS / DAY
+        with pytest.raises(ValueError, match=f"at most {MAX_SLOTS}$"):
+            RunConfig(budget=2 * MAX_SLOTS / DAY).window(scenario.config)
 
 
 class TestGenerator:
