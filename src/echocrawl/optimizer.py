@@ -36,9 +36,10 @@ resumes below the level.  Excluded sources are reported in
 Schedule.pinched.  Otherwise a safeguarded Newton iteration finds omega
 inside the segment.
 
-Each residual evaluation inverts g for all kept sources at once, by Newton
-from the asymptotic root, and stops once stationarity holds and the summed
-recrawl rate is resolved to a tenth of epsilon.
+Each residual evaluation inverts g for all kept sources at once, by four
+Newton steps from the asymptotic root, which leave each source's x within a
+few ulps of its root: the residual is resolved to float resolution and
+depends on omega alone.
 
 The solver reads its sources as the columns of a core.SourceTable, and
 turns a Mapping or a sequence of (id, params) pairs into one, so no
@@ -59,21 +60,18 @@ from .core import SourceId, SourceParams, SourceTable, check_setting
 # Utilities below this are treated as zero and never scheduled.
 _UTILITY_FLOOR = 1e-300
 
-# Absolute floor for the inner g-inversion tolerance; below a few ulps of g
-# the inversion would chase floating point noise.
+# Absolute tolerance of the scalar g_inverse that finds _FLAT_EDGE; below a
+# few ulps of g the inversion would chase floating point noise.
 _G_TOL_FLOOR = 5e-16
 
-# Relative tolerance of the inner g-inversion: the stationarity error
-# |p*g(mu*I) - omega| stays below _INNER_TOLERANCE * omega.
+# Relative stationarity tolerance in g's flat tail: past _FLAT_EDGE every
+# interval meets |p*g(mu*I) - omega| <= _INNER_TOLERANCE * omega.
 _INNER_TOLERANCE = 1e-9
 
-# Share of epsilon that the inner g-inversion may leave as error in the kept
-# sources' summed recrawl rate, so the budget residual is resolved to epsilon.
-_RATE_SHARE = 0.1
-
-# Cap on the Newton steps of one inner g-inversion: it needs at most 4 to
-# meet the g-tolerance, and each further step squares the error.
-_MAX_INNER_STEPS = 8
+# Newton steps of one inner g-inversion: from the asymptotic root, four
+# bring x within a few ulps of the root for every y in (0, 1), and a fifth
+# would only move x by rounding noise.
+_INNER_STEPS = 4
 
 # Cap on the Newton steps inside one smooth segment of the budget residual.
 _MAX_ITERATIONS = 200
@@ -185,44 +183,38 @@ def g_inverse(y: float, tolerance: float = 1e-12) -> float:
 _ATANH_TAIL = 1.0 / np.arange(15.0, 2.0, -2.0)  # 1/15, 1/13, ..., 1/3
 
 
-def _log1pmx(x: np.ndarray) -> np.ndarray:
-    """log1p(x) - x to a few ulps: below x = 0.1, where the difference
-    cancels, as -x s + 2 s^3 (1/3 + s^2/5 + ...), s = x / (2 + x)."""
+def _log1pmx(x: np.ndarray, small: np.ndarray) -> np.ndarray:
+    """log1p(x) - x to a few ulps.  At the positions small, where x is
+    below about 0.1 and the difference cancels, it is evaluated as
+    -x s + 2 s^3 (1/3 + s^2/5 + ...), s = x / (2 + x)."""
     out = np.log1p(x) - x
-    if x.min() < 0.1:
-        small = x < 0.1
+    if small.size:
         x = x[small]
         s = x / (2.0 + x)
         out[small] = 2.0 * s**3 * np.polyval(_ATANH_TAIL, s * s) - x * s
     return out
 
 
-def _g_inverse_bulk(y: np.ndarray, mu: np.ndarray, rate_tol: float) -> np.ndarray:
-    """Vectorized g inversion: Newton from the asymptotic root.
+def _g_inverse_bulk(y: np.ndarray) -> np.ndarray:
+    """Vectorized g inversion: four Newton steps from the asymptotic root.
 
-    x starts at sqrt(2y) for y < 1/2 (from g(x) ~ x^2/2), else at
-    w + log1p(w) with w = -log1p(-y) (from 1 - g = (1+x)exp(-x)).  Newton
-    runs on h(x) = log((1 - g(x)) / (1 - y)) = log1p(x) - x + w rather than
-    on g(x) - y: both vanish at the root, but h stays nearly linear in g's
-    flat tail, where Newton on g creeps by about one unit of x per step.
-    Every y in (0, 1) meets the g-tolerance |g(x) - y| <=
-    max(_INNER_TOLERANCE y, _G_TOL_FLOOR) within 4 steps.  In the flat tail
-    that tolerance still leaves the recrawl rate mu / x loose, so the
-    inversion stops only once the summed rate error, sum mu |step| / x^2
-    with the Newton step as x's error, is at most rate_tol too.  Past
-    _MAX_INNER_STEPS x is at float resolution and is returned as it stands.
+    x starts at sqrt(2y) for y < 0.4 (from g(x) ~ x^2/2), else at
+    w + log1p(w) with w = -log1p(-y) (from 1 - g = (1+x)exp(-x)); near
+    y = 0.38 the first steps from the two starts land equally close to the
+    root.  Newton runs on h(x) = log((1 - g(x)) / (1 - y)) = log1p(x) - x + w
+    rather than on g(x) - y: both vanish at the root, but h stays nearly
+    linear in g's flat tail, where Newton on g creeps by about one unit of
+    x per step.  After _INNER_STEPS steps x is within a few ulps of the
+    root for every y in (0, 1), so stationarity and each recrawl rate
+    mu / x hold to float resolution, and no step tests for convergence.
+    Each entry is inverted on its own: h's series branch is chosen once,
+    from the start, so an entry's x does not depend on the other entries.
     """
     w = -np.log1p(-y)
-    x = np.where(y < 0.5, np.sqrt(2.0 * y), w + np.log1p(w))
-    # |h| <= h_tol implies |g(x) - y| = (1 - y) |expm1(h)| <= the g-tolerance.
-    h_tol = np.log1p(np.maximum(_INNER_TOLERANCE * y, _G_TOL_FLOOR) / (1.0 - y))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_MAX_INNER_STEPS):
-            h = _log1pmx(x) + w
-            step = h * (1.0 + x) / x  # h'(x) = -x / (1 + x)
-            if (np.abs(h) <= h_tol).all() and (mu * np.abs(step / x**2)).sum() <= rate_tol:
-                break
-            x += step
+    x = np.where(y < 0.4, np.sqrt(2.0 * y), w + np.log1p(w))
+    small = (x < 0.1).nonzero()[0]
+    for _ in range(_INNER_STEPS):
+        x += (_log1pmx(x, small) + w) * (1.0 + x) / x  # h'(x) = -x / (1 + x)
     return x
 
 
@@ -254,28 +246,25 @@ class _Sources:
 
     def kept(self, omega: float) -> int:
         """How many sources have utility above omega."""
-        return int(np.searchsorted(self.neg_p, -omega, side="left"))
+        return int(self.neg_p.searchsorted(-omega, side="left"))
 
     def level(self, omega: float) -> "range":
         """Positions of the sources whose utility equals omega."""
-        return range(self.kept(omega), int(np.searchsorted(self.neg_p, -omega, side="right")))
+        return range(self.kept(omega), int(self.neg_p.searchsorted(-omega, side="right")))
 
-    def residual(self, omega: float, budget: float, eps: float):
+    def residual(self, omega: float, budget: float):
         """Budget residual at omega and the kept sources' g-arguments x."""
         k = self.kept(omega)
         if k == 0:
             return -budget, np.empty(0)
-        x = _g_inverse_bulk(omega / self.p[:k], self.mu[:k], _RATE_SHARE * eps)
-        with np.errstate(divide="ignore"):
-            rate = self.mu[:k] / x
-        return float(rate.sum() + self.lam_prefix[k] - budget), x
+        x = _g_inverse_bulk(omega / self.p[:k])
+        return float((self.mu[:k] / x).sum() + self.lam_prefix[k] - budget), x
 
     def steepness(self, x: np.ndarray) -> np.ndarray:
         """-d(mu/x)/d(omega) = mu e^x / (p x^3) per kept source, from
         p g'(x) dx = d(omega)."""
         k = len(x)
-        with np.errstate(divide="ignore", over="ignore"):
-            return self.mu[:k] * np.exp(np.minimum(x, 700.0)) / (self.p[:k] * x**3)
+        return self.mu[:k] * np.exp(np.minimum(x, 700.0)) / (self.p[:k] * x**3)
 
     def drop(self, positions: "list[int]") -> None:
         self.order = np.delete(self.order, positions)
@@ -343,124 +332,128 @@ def solve_schedule(
             pinched=frozenset(pinched),
         )
 
-    # u is the lowest multiplier known to leave the residual at or below
-    # epsilon: at first the top utility, where no source is kept and the
-    # residual is -budget (never a solution: one source must stay).  Dropping
-    # sources at u leaves its residual unchanged, so u stays valid.
-    u = math.inf
-    while True:
-        if src.levels[-1] < u:
-            u, r_u, x_u = float(src.levels[-1]), -budget, np.empty(0)
-        # Binary-search the levels (distinct utilities) below u for the
-        # lowest one whose residual is at most epsilon.  Between levels the
-        # residual falls smoothly as omega rises; at each level it drops by
-        # that level's lambda.
-        lo, r_lo = 0.0, math.inf
-        a, b = 0, int(np.searchsorted(src.levels, u, side="left"))
-        while a < b:
-            mid = (a + b) // 2
-            omega = float(src.levels[mid])
-            r, x = src.residual(omega, budget, eps)
-            if r > eps:
-                lo, r_lo, a = omega, r, mid + 1
-            elif r >= -eps:
-                # A level whose own residual is within epsilon: a solution
-                # with the level's sources dropped (omega = their utility).
-                return solution(omega, r, x)
-            else:
-                u, r_u, x_u, b = omega, r, x, mid
-
-        # The residual is above epsilon at lo and below it at u.  Just
-        # below u the level's sources are kept at intervals in g's flat
-        # tail, each costing its lambda plus at most the flat-edge recrawl
-        # rate mu / _FLAT_EDGE; full is the residual with all of them at that.
-        level = src.level(u)
-        at_u = slice(level.start, level.stop)
-        full = r_u + float((src.lam[at_u] + src.mu[at_u] / _FLAT_EDGE).sum())
-        if full <= eps:
-            # Not a drop gap: the residual crosses zero in the smooth
-            # segment (lo, u).  Newton on the residual with a bisection
-            # safeguard, taking the Newton step only while it stays inside
-            # the bracket and shrinks faster than halving.
-            hi = u
-            # Start from the secant between the segment's ends, or from the
-            # midpoint if lo was never evaluated or full >= 0 (secant past u).
-            if math.isfinite(r_lo) and full < 0.0:
-                omega = lo + (hi - lo) * r_lo / (r_lo - full)
-            else:
-                omega = 0.5 * (lo + hi)
-            dx_old = dx = hi - lo
-            for _ in range(_MAX_ITERATIONS):
-                r, x = src.residual(omega, budget, eps)
-                if abs(r) <= eps:
+    # In the search, a y = omega / p that underflows to 0 gives x = 0 and an
+    # infinite recrawl rate, and a residual's slope may overflow: values the
+    # search handles, so numpy's warnings for them are off here alone.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # u is the lowest multiplier known to leave the residual at or below
+        # epsilon: at first the top utility, where no source is kept and the
+        # residual is -budget (never a solution: one source must stay).
+        # Dropping sources at u leaves its residual unchanged, so u stays valid.
+        u = math.inf
+        while True:
+            if src.levels[-1] < u:
+                u, r_u, x_u = float(src.levels[-1]), -budget, np.empty(0)
+            # Binary-search the levels (distinct utilities) below u for the
+            # lowest one whose residual is at most epsilon.  Between levels the
+            # residual falls smoothly as omega rises; at each level it drops by
+            # that level's lambda.
+            lo, r_lo = 0.0, math.inf
+            a, b = 0, int(np.searchsorted(src.levels, u, side="left"))
+            while a < b:
+                mid = (a + b) // 2
+                omega = float(src.levels[mid])
+                r, x = src.residual(omega, budget)
+                if r > eps:
+                    lo, r_lo, a = omega, r, mid + 1
+                elif r >= -eps:
+                    # A level whose own residual is within epsilon: a solution
+                    # with the level's sources dropped (omega = their utility).
                     return solution(omega, r, x)
-                if r < 0.0:  # crawling less than the budget: omega too high
-                    hi = omega
                 else:
-                    lo = omega
-                if hi - lo <= 8.0 * math.ulp(hi):
+                    u, r_u, x_u, b = omega, r, x, mid
+
+            # The residual is above epsilon at lo and below it at u.  Just
+            # below u the level's sources are kept at intervals in g's flat
+            # tail, each costing its lambda plus at most the flat-edge recrawl
+            # rate mu / _FLAT_EDGE; full is the residual with all of them at that.
+            level = src.level(u)
+            at_u = slice(level.start, level.stop)
+            full = r_u + float((src.lam[at_u] + src.mu[at_u] / _FLAT_EDGE).sum())
+            if full <= eps:
+                # Not a drop gap: the residual crosses zero in the smooth
+                # segment (lo, u).  Newton on the residual with a bisection
+                # safeguard, taking the Newton step only while it stays inside
+                # the bracket and shrinks faster than halving.
+                hi = u
+                # Start from the secant between the segment's ends, or from the
+                # midpoint if lo was never evaluated or full >= 0 (secant past u).
+                if math.isfinite(r_lo) and full < 0.0:
+                    omega = lo + (hi - lo) * r_lo / (r_lo - full)
+                else:
+                    omega = 0.5 * (lo + hi)
+                dx_old = dx = hi - lo
+                for _ in range(_MAX_ITERATIONS):
+                    r, x = src.residual(omega, budget)
+                    if abs(r) <= eps:
+                        return solution(omega, r, x)
+                    if r < 0.0:  # crawling less than the budget: omega too high
+                        hi = omega
+                    else:
+                        lo = omega
+                    if hi - lo <= 8.0 * math.ulp(hi):
+                        break
+                    dres = -float(src.steepness(x).sum())
+                    newton_bad = (
+                        not math.isfinite(r)
+                        or not math.isfinite(dres)
+                        or dres >= 0.0
+                        or ((omega - hi) * dres - r) * ((omega - lo) * dres - r) > 0.0
+                        or abs(2.0 * r) > abs(dx_old * dres)
+                    )
+                    dx_old = dx
+                    if newton_bad:
+                        dx = 0.5 * (hi - lo)
+                        omega = lo + dx
+                    else:
+                        dx = r / dres
+                        omega -= dx
+                else:
+                    raise NoConvergenceError(
+                        f"Newton search did not converge in {_MAX_ITERATIONS} steps", r
+                    )
+                if hi < u or not level:
+                    raise NoConvergenceError("Newton bracket collapsed without meeting epsilon", r)
+                # The bracket collapsed onto the level itself: the crossing lies
+                # in g's flat tail, which omega cannot resolve; complete it as
+                # at a drop gap.
+
+            # u is a drop gap (the budget falls inside the jump of u's lambda),
+            # or the crossing sits in g's flat tail just below u, where every
+            # interval past the flat edge meets stationarity.  So hold omega at
+            # u and let the level's sources absorb the leftover budget, each at
+            # most at the flat-edge spend; if that misses epsilon, exclude some.
+            by_lambda = sorted(level, key=lambda i: -src.lam[i])  # stable: ties by id
+            flat: "dict[int, float]" = {}  # position -> interval
+            rem = -r_u
+            for i in by_lambda:
+                if src.lam[i] < rem:
+                    spend = min(src.mu[i] / _FLAT_EDGE, rem - src.lam[i])
+                    flat[i] = 1.0 / spend
+                    rem -= src.lam[i] + spend
+            if flat and abs(rem) <= eps:
+                pinched.update(src.sid(i) for i in level if i not in flat)
+                return solution(u, -rem, x_u, flat)
+
+            if len(src) <= 1:
+                raise ScheduleInfeasibleError(
+                    "budget infeasible: cannot meet constraint with the last source", r_u
+                )
+            # Exclude the level's sources, largest lambda first, until full falls
+            # to zero, then search again below u.  Each is credited with its
+            # lambda only: keeping the level's flat-edge rate as a margin drops
+            # one source more where those kept would capture next to nothing.
+            need = full
+            dropped: "list[int]" = []
+            for i in by_lambda:
+                if len(dropped) >= len(src) - 1:
                     break
-                dres = -float(src.steepness(x).sum())
-                newton_bad = (
-                    not math.isfinite(r)
-                    or not math.isfinite(dres)
-                    or dres >= 0.0
-                    or ((omega - hi) * dres - r) * ((omega - lo) * dres - r) > 0.0
-                    or abs(2.0 * r) > abs(dx_old * dres)
-                )
-                dx_old = dx
-                if newton_bad:
-                    dx = 0.5 * (hi - lo)
-                    omega = lo + dx
-                else:
-                    dx = r / dres
-                    omega -= dx
-            else:
-                raise NoConvergenceError(
-                    f"Newton search did not converge in {_MAX_ITERATIONS} steps", r
-                )
-            if hi < u or not level:
-                raise NoConvergenceError("Newton bracket collapsed without meeting epsilon", r)
-            # The bracket collapsed onto the level itself: the crossing lies
-            # in g's flat tail, which omega cannot resolve; complete it as
-            # at a drop gap.
-
-        # u is a drop gap (the budget falls inside the jump of u's lambda),
-        # or the crossing sits in g's flat tail just below u, where every
-        # interval past the flat edge meets stationarity.  So hold omega at
-        # u and let the level's sources absorb the leftover budget, each at
-        # most at the flat-edge spend; if that misses epsilon, exclude some.
-        by_lambda = sorted(level, key=lambda i: -src.lam[i])  # stable: ties by id
-        flat: "dict[int, float]" = {}  # position -> interval
-        rem = -r_u
-        for i in by_lambda:
-            if src.lam[i] < rem:
-                spend = min(src.mu[i] / _FLAT_EDGE, rem - src.lam[i])
-                flat[i] = 1.0 / spend
-                rem -= src.lam[i] + spend
-        if flat and abs(rem) <= eps:
-            pinched.update(src.sid(i) for i in level if i not in flat)
-            return solution(u, -rem, x_u, flat)
-
-        if len(src) <= 1:
-            raise ScheduleInfeasibleError(
-                "budget infeasible: cannot meet constraint with the last source", r_u
-            )
-        # Exclude the level's sources, largest lambda first, until full falls
-        # to zero, then search again below u.  Each is credited with its
-        # lambda only: keeping the level's flat-edge rate as a margin drops
-        # one source more where those kept would capture next to nothing.
-        need = full
-        dropped: "list[int]" = []
-        for i in by_lambda:
-            if len(dropped) >= len(src) - 1:
-                break
-            dropped.append(i)
-            need -= src.lam[i]
-            if need <= 0.0:
-                break
-        pinched.update(src.sid(i) for i in dropped)
-        src.drop(dropped)
+                dropped.append(i)
+                need -= src.lam[i]
+                if need <= 0.0:
+                    break
+            pinched.update(src.sid(i) for i in dropped)
+            src.drop(dropped)
 
 
 def closed_form_quality(

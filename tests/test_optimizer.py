@@ -5,6 +5,7 @@ solve_schedule optimality is checked against a brute-force grid search on
 the budget simplex.
 """
 
+import csv
 import math
 from decimal import Decimal
 from pathlib import Path
@@ -36,6 +37,33 @@ FOUND1_BUDGET = 0.003681
 def found1_params():
     sources, _ = fileio.read_params(FOUND1_PARAMS)
     return dict(sources)
+
+
+# Solver inputs from one round of the crawl-preset benchmark (drop gaps,
+# flat-tail completions and unstarved solves) with the schedules that the
+# solver at commit 351dae8 gave them; the file's first line says where.
+PRESET_SOLVES = Path(__file__).parent / "data" / "preset_solves.csv"
+
+
+def preset_solves():
+    """{case: (kind, budget, params, intervals, pinched)} from PRESET_SOLVES."""
+    cases = {}
+    with open(PRESET_SOLVES, newline="") as f:
+        for row in csv.DictReader(line for line in f if not line.startswith("#")):
+            _, _, params, intervals, pinched = cases.setdefault(
+                row["case"], (row["kind"], float(row["budget"]), {}, {}, set())
+            )
+            sid = int(row["source_id"])
+            params[sid] = SourceParams(
+                float(row["lambda_rate"]), float(row["profit"]), float(row["decay"])
+            )
+            intervals[sid] = float(row["interval"])
+            if row["pinched"] == "1":
+                pinched.add(sid)
+    return cases
+
+
+PRESET_CASES = preset_solves()
 
 
 def preset_mix():
@@ -103,11 +131,13 @@ class TestGInverse:
             x = g_inverse(float(y), 1e-10)
             assert abs(g(x) - y) <= 1e-10
 
-    def test_bulk_meets_g_tolerance_within_four_steps(self, monkeypatch):
+    def test_bulk_meets_g_tolerance_within_four_steps(self):
         # y across the doubles in (0, 1): from the smallest subnormal through
         # g's quadratic head to the largest double below 1, deep in its flat
-        # tail; checked with the scalar g.  An infinite rate_tol leaves only
-        # the g-tolerance to stop on.
+        # tail; checked with the scalar g.  The inversion takes its four
+        # Newton steps and tests nothing, so the g-tolerance must hold after
+        # them everywhere.
+        assert optimizer._INNER_STEPS == 4
         y = np.concatenate(
             [
                 [5e-324, 1.0 - 2.0**-53],
@@ -115,43 +145,82 @@ class TestGInverse:
                 1.0 - 2.0 ** -np.linspace(1.0, 53.0, 5_000),
             ]
         )
-        monkeypatch.setattr(optimizer, "_MAX_INNER_STEPS", 4)
-        x = optimizer._g_inverse_bulk(y, np.ones_like(y), math.inf)
+        x = optimizer._g_inverse_bulk(y)
         for xi, yi in zip(x.tolist(), y.tolist()):
             assert abs(g(xi) - yi) <= max(1e-9 * yi, 5e-16), yi
 
-    @pytest.mark.parametrize("mu", [0.0, 0.01, 30.0])
-    def test_bulk_meets_tolerance_from_cold_and_stale_starts(self, mu):
+    @pytest.mark.parametrize(
+        "between",
+        [lambda y: 1.0 - y, lambda y: y[::-1], lambda y: np.full(3, 0.5)],
+        ids=["complement", "reversed", "other-size"],
+    )
+    def test_bulk_meets_tolerance_from_cold_and_stale_starts(self, between):
         # y from deep in g's quadratic head to deep in its flat tail, checked
         # with the scalar g.  Every y starts cold, from the asymptotic root,
         # and a call keeps nothing for the next, so a stale start cannot
-        # arise: the same y give the same x after any other call.  The rate
-        # weight mu (none, light, heavy) only decides how many Newton steps
-        # are taken past the g-tolerance, which must hold in every case.
+        # arise: the same y give the same x after any other call, whether it
+        # inverted other values, the same ones in another order or another
+        # number of them.
         head = 10.0 ** -np.linspace(1, 14, 30)
         y = np.concatenate([head, 1.0 - 10.0 ** -np.linspace(1, 15, 30)])
         tol = np.maximum(1e-9 * y, 5e-16)
-        cold = optimizer._g_inverse_bulk(y, np.full_like(y, mu), 1e-12)
-        optimizer._g_inverse_bulk(1.0 - y, np.full_like(y, mu), 1e-12)
-        x = optimizer._g_inverse_bulk(y, np.full_like(y, mu), 1e-12)
+        cold = optimizer._g_inverse_bulk(y)
+        optimizer._g_inverse_bulk(between(y))
+        x = optimizer._g_inverse_bulk(y)
         np.testing.assert_array_equal(x, cold)
         for xi, yi, ti in zip(x, y, tol):
             assert abs(g(float(xi)) - yi) <= ti
 
     def test_bulk_meets_rate_bound(self):
-        # Each y alone, with mu = x* (a recrawl rate of 1): the rate error
-        # mu |x - x*| / x*^2 against the decimal root x*.  The g-tolerance
-        # alone leaves it up to about 1e-2 in g's flat tail.  The Newton
-        # step estimates x's error to second order, hence the slack.
+        # The rate error mu |x - x*| / x*^2 of a source with mu = x* (a
+        # recrawl rate of 1) against the decimal root x*.  The g-tolerance
+        # alone leaves it up to about 1e-2 in g's flat tail.
         y = np.concatenate(
             [10.0 ** -np.linspace(0.31, 300.0, 300), 1.0 - 10.0 ** -np.linspace(0.31, 15.9, 300)]
         )
         start = np.where(y < 0.5, np.sqrt(2.0 * y), -np.log1p(-y))
-        for yi, xi in zip(y.tolist(), start.tolist()):
-            root = g_root_decimal(yi, xi)
-            x = optimizer._g_inverse_bulk(np.array([yi]), np.array([float(root)]), 1e-12)
-            error = root * abs(Decimal(float(x[0])) - root) / root**2
+        x = optimizer._g_inverse_bulk(y)
+        for yi, xi, si in zip(y.tolist(), x.tolist(), start.tolist()):
+            root = g_root_decimal(yi, si)
+            error = root * abs(Decimal(xi) - root) / root**2
             assert error <= Decimal(1e-12 * (1 + 1e-6)), yi
+
+    def test_bulk_within_four_ulp_of_decimal_root(self):
+        # Four steps reach float resolution: x is within 4 ulp of the decimal
+        # root across g's head and tail, sampled densely over 0.3-0.55, where
+        # the two asymptotic starts meet and are furthest from the root (the
+        # head's start, taken up to y = 1/2, would leave x 5 ulp off just
+        # below it).
+        rng = np.random.default_rng(17)
+        y = np.concatenate(
+            [
+                [5e-324, 1e-310, 1.0 - 2.0**-53],
+                10.0 ** -rng.uniform(0.3, 300.0, 600),
+                rng.uniform(0.3, 0.45, 300),
+                np.linspace(0.45, 0.55, 801),
+                1.0 - 2.0 ** -rng.uniform(1.2, 53.0, 600),
+            ]
+        )
+        start = np.where(y < 0.5, np.sqrt(2.0 * y), -np.log1p(-y))
+        x = optimizer._g_inverse_bulk(y)
+        for yi, xi, si in zip(y.tolist(), x.tolist(), start.tolist()):
+            root = g_root_decimal(yi, si)
+            assert abs(Decimal(xi) - root) <= 4 * Decimal(math.ulp(xi)), yi
+
+    @given(
+        y=st.lists(st.floats(5e-324, 1.0 - 2.0**-53), min_size=1, max_size=40),
+        before=st.lists(st.floats(5e-324, 1.0 - 2.0**-53), max_size=10),
+        after=st.lists(st.floats(5e-324, 1.0 - 2.0**-53), max_size=10),
+    )
+    def test_bulk_inversion_is_elementwise(self, y, before, after):
+        # Each entry's x is that of the entry inverted alone, bit for bit,
+        # and an array's x is the same inside a longer array: a residual
+        # depends on omega and the kept sources alone, by construction.
+        x = optimizer._g_inverse_bulk(np.array(y))
+        alone = [optimizer._g_inverse_bulk(np.array([yi]))[0] for yi in y]
+        assert x.tolist() == alone
+        longer = optimizer._g_inverse_bulk(np.array(before + y + after))
+        assert longer[len(before) : len(before) + len(y)].tolist() == x.tolist()
 
     def test_domain_rejected(self):
         for y in [-0.1, 1.0, 1.5]:
@@ -312,6 +381,30 @@ class TestBreakpointSearch:
         assert len(calls) <= bisecting // 3
 
 
+class TestPresetSolves:
+    def test_cases_cover_every_path(self):
+        kinds = [kind for kind, *_ in PRESET_CASES.values()]
+        assert {kind: kinds.count(kind) for kind in set(kinds)} == {
+            "flat-tail": 6,
+            "drop-gap": 9,
+            "unstarved": 9,
+        }
+
+    @pytest.mark.parametrize("case", sorted(PRESET_CASES))
+    def test_schedule_unchanged(self, case):
+        # The same finite and pinched sets, and intervals within 1e-8
+        # relative: a faster solver may move the last digits of a schedule,
+        # not the schedule.
+        _, budget, params, expected, pinched = PRESET_CASES[case]
+        sched = solve_schedule(params, budget)
+        finite = {sid for sid, iv in expected.items() if math.isfinite(iv)}
+        assert {sid for sid, _ in sched.finite_items()} == finite
+        assert set(sched.pinched) == pinched
+        for sid in finite:
+            assert sched.intervals[sid] == pytest.approx(expected[sid], rel=1e-8), sid
+        check_schedule(params, budget, sched)
+
+
 class TestScheduleInvariants:
     def test_random_instances_satisfy_constraints(self):
         rng = np.random.default_rng(42)
@@ -389,16 +482,17 @@ class TestScheduleInvariants:
             np.array([params[i].lambda_rate for i in ids]),
         )
         omegas = np.quantile(src.levels, [0.2, 0.5, 0.8]) * 0.999
-        first = [src.residual(float(omega), FOUND1_BUDGET, 1e-10) for omega in omegas]
-        again = [src.residual(float(omega), FOUND1_BUDGET, 1e-10) for omega in omegas[::-1]]
+        first = [src.residual(float(omega), FOUND1_BUDGET) for omega in omegas]
+        again = [src.residual(float(omega), FOUND1_BUDGET) for omega in omegas[::-1]]
         for (r1, x1), (r2, x2) in zip(first, again[::-1]):
             assert r1 == r2
             assert x1.tolist() == x2.tolist()
 
     @pytest.mark.parametrize("epsilon", [1e-12, 1e-14])
     def test_tight_epsilon_solves(self, epsilon):
-        # The inner inversion resolves each residual to a tenth of epsilon,
-        # so the Newton bracket never collapses on inversion noise.
+        # The inner inversion leaves each source's x within a few ulps of
+        # its root, so the residual is resolved far below these epsilons
+        # and the Newton bracket never collapses on inversion noise.
         rng = np.random.default_rng(0)
         for _ in range(300):
             params, budget = random_instance(rng, max_n=20)
