@@ -212,13 +212,13 @@ def cmd_fit(args) -> int:
 
     rows = []
     for sid in log.sources:
-        # n - 1 arrivals after the first page (a CrawlHistoryWindow rejects ties)
+        # n - 1 arrivals after the first page, over the creations' span
         creations = created_by_source[sid]
         span = max(creations) - min(creations)
         lam = posterior_rate(len(creations) - 1, span, state.default_lambda)
         hist = state.histogram(sid)
         clicks = hist.cumulative[-1]
-        fitted = clicks > 0 and len(hist.cumulative) >= 2
+        fitted = state.fittable(sid)
         profit, decay = state.default_profit, state.default_decay
         if fitted:
             # the plain least-squares fit, without the online estimator's

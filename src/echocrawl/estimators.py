@@ -9,13 +9,13 @@ Three per-source quantities feed the interval solver:
   at the best P is the partial dF/dmu (the envelope theorem),
 - lambda: the new-page rate, a Gamma posterior mean over the arrivals seen
   after a first observation (posterior_rate): new links of the recrawls
-  after the first in a source's recent window online, page creations after
+  after the first among a source's last few online, page creations after
   the first in the CLI's fit.  It is the default before any data and never
   0, so a source whose recrawls come back empty is still recrawled.
 
 EstimatorState owns all of it: it routes click events to the right source's
-histogram, keeps a sliding crawl-history window per source, and hands the
-scheduler an immutable parameter snapshot on demand.  Sources without click
+histogram, keeps each source's last few recrawls, and hands the scheduler a
+read-only SourceTable of the estimates on demand.  Sources without click
 feedback fall back to small default parameters so they still receive
 occasional probe crawls.
 """
@@ -23,12 +23,13 @@ occasional probe crawls.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import PageId, ProfitCurve, Seconds, SourceId, SourceParams, check_setting
+from .core import PageId, ProfitCurve, Seconds, SourceId, SourceTable, check_setting
 
 # Fallbacks for sources with no click or crawl feedback yet: a small
 # non-zero profit, one-day decay and one new link per hour keep unknown
@@ -80,44 +81,6 @@ class ClickHistogram:
         if self.page_count <= 0:
             raise ValueError("targets need page_count > 0")
         return [v / self.page_count for v in self.cumulative]
-
-
-@dataclass(frozen=True)
-class CrawlHistoryWindow:
-    """The last few recrawls of one source: (crawl time, new links found)."""
-
-    capacity: int
-    entries: "tuple[tuple[Seconds, int], ...]" = ()
-
-    def __init__(self, capacity: int, entries: Iterable["tuple[float, int]"] = ()):
-        if capacity < 2:
-            raise ValueError(f"capacity must be >= 2, got {capacity}")
-        items = tuple((float(t), int(n)) for t, n in entries)
-        if len(items) > capacity:
-            items = items[-capacity:]
-        for (t0, _), (t1, _) in zip(items, items[1:]):
-            if t1 <= t0:
-                raise ValueError("crawl times must be strictly increasing")
-        if any(n < 0 for _, n in items):
-            raise ValueError("link counts must be >= 0")
-        object.__setattr__(self, "capacity", int(capacity))
-        object.__setattr__(self, "entries", items)
-
-    def record(self, time: Seconds, new_links: int) -> "CrawlHistoryWindow":
-        """New window with (time, new_links) appended, oldest entry evicted.
-
-        The kept entries were validated when this window was built, so only
-        the new entry is checked, against the last one.
-        """
-        entry = (float(time), int(new_links))
-        if self.entries and entry[0] <= self.entries[-1][0]:
-            raise ValueError("crawl times must be strictly increasing")
-        if entry[1] < 0:
-            raise ValueError("link counts must be >= 0")
-        window = object.__new__(CrawlHistoryWindow)
-        object.__setattr__(window, "capacity", self.capacity)
-        object.__setattr__(window, "entries", (*self.entries[1 - self.capacity :], entry))
-        return window
 
 
 def fit_objective(
@@ -262,19 +225,20 @@ def posterior_rate(arrivals: float, span: Seconds, default: float) -> float:
 
 
 def estimate_lambda(
-    window: CrawlHistoryWindow,
+    entries: "Iterable[tuple[Seconds, int]]",
     now: Seconds | None = None,
     default: float = DEFAULT_LAMBDA,
 ) -> float:
-    """New-link rate of the window's visible entries, by posterior_rate.
+    """New-link rate of recrawls (crawl time, new links found), by
+    posterior_rate.  The entries must be in strictly increasing time order.
 
     The arrivals are the links found by the entries after the first, over
     the first-to-last crawl span: the first entry's links appeared before
-    the window began, so counting them would bias the rate upward.  Entries
+    that span began, so counting them would bias the rate upward.  Entries
     after `now` are ignored (feedback from the future).  With fewer than
     two visible entries there is no data, and the rate is `default`.
     """
-    entries = [e for e in window.entries if now is None or e[0] <= now]
+    entries = [e for e in entries if now is None or e[0] <= now]
     if len(entries) < 2:
         return default
     arrivals = sum(n for _, n in entries[1:])
@@ -283,9 +247,10 @@ def estimate_lambda(
 
 @dataclass
 class _SourceTrack:
-    """Mutable per-source estimator bookkeeping."""
+    """Mutable per-source estimator bookkeeping.  history holds the last
+    recrawls, (crawl time, new links found), in increasing time order."""
 
-    window: CrawlHistoryWindow
+    history: "deque[tuple[Seconds, int]]"
     bin_counts: "dict[int, int]" = field(default_factory=dict)
     total_clicks: int = 0
     max_bin: int = 0
@@ -298,9 +263,11 @@ class EstimatorState:
     """Single-writer estimator for all sources of one crawl.
 
     The crawl loop feeds it page registrations, recrawl outcomes and click
-    log pushes; params_snapshot() returns an immutable per-source parameter
-    map for the scheduler.  Curve fits are cached and only redone once a
-    source has accumulated enough new clicks to move the fit.
+    log pushes; each source keeps its last history_capacity recrawls.
+    params_snapshot() returns a read-only SourceTable of every source's
+    estimates, the columns the scheduler reads.  Curve fits are cached and
+    only redone once a source has accumulated enough new clicks to move the
+    fit.
     """
 
     def __init__(
@@ -335,7 +302,7 @@ class EstimatorState:
     def _track(self, source: SourceId) -> _SourceTrack:
         track = self._tracks.get(source)
         if track is None:
-            track = _SourceTrack(window=CrawlHistoryWindow(self.history_capacity))
+            track = _SourceTrack(deque(maxlen=self.history_capacity))
             self._tracks[source] = track
         return track
 
@@ -351,9 +318,15 @@ class EstimatorState:
         self._track(source).page_count += 1
 
     def record_crawl(self, source: SourceId, time: Seconds, new_links: int) -> None:
-        """Log a recrawl of `source` that surfaced `new_links` new pages."""
-        track = self._track(source)
-        track.window = track.window.record(time, new_links)
+        """Log a recrawl of `source` that surfaced `new_links` new pages; only
+        the last history_capacity recrawls of a source are kept."""
+        history = self._track(source).history
+        entry = (float(time), int(new_links))
+        if history and entry[0] <= history[-1][0]:
+            raise ValueError("crawl times must be strictly increasing")
+        if entry[1] < 0:
+            raise ValueError("link counts must be >= 0")
+        history.append(entry)
 
     def push_logs(
         self,
@@ -412,13 +385,21 @@ class EstimatorState:
         value-driven policies can be refreshed more often than schedules.
         """
         return {
-            source: estimate_lambda(self._tracks[source].window, now, self.default_lambda)
+            source: estimate_lambda(self._tracks[source].history, now, self.default_lambda)
             * self.average_profit(source)
             for source in sorted(self._tracks)
         }
 
+    def fittable(self, source: SourceId) -> bool:
+        """Whether a curve can be fitted to the source's clicks: some click
+        fell past the histogram's first bin (bin 0 pins every curve to
+        zero).  A binned click implies a registered page, so page_count > 0.
+        """
+        track = self._tracks.get(source)
+        return track is not None and track.max_bin >= 1
+
     def _curve(self, source: SourceId, track: _SourceTrack) -> ProfitCurve:
-        if track.total_clicks == 0 or track.max_bin < 1 or track.page_count == 0:
+        if not self.fittable(source):
             return self._default_curve
         grown = track.total_clicks - track.clicks_at_fit
         threshold = max(REFIT_MIN_CLICKS, REFIT_GROWTH * track.clicks_at_fit)
@@ -432,17 +413,20 @@ class EstimatorState:
         track.clicks_at_fit = track.total_clicks
         return curve
 
-    def params_snapshot(self, now: Seconds) -> "dict[SourceId, SourceParams]":
-        """Best-known (lambda, P, mu) per source at time `now`.
+    def params_snapshot(self, now: Seconds) -> SourceTable:
+        """Best-known (lambda, P, mu) of every source at time `now`, as a
+        SourceTable with ids ascending.
 
         Sources lacking click feedback keep the default curve; sources with
         fewer than two recorded recrawls keep the default new-link rate, and
         the others get estimate_lambda's posterior rate, which is never 0.
         """
-        snapshot: "dict[SourceId, SourceParams]" = {}
-        for source in sorted(self._tracks):
+        ids = sorted(self._tracks)
+        rates, profits, decays = [], [], []
+        for source in ids:
             track = self._tracks[source]
-            rate = estimate_lambda(track.window, now, self.default_lambda)
+            rates.append(estimate_lambda(track.history, now, self.default_lambda))
             curve = self._curve(source, track)
-            snapshot[source] = SourceParams(rate, curve.profit, curve.decay)
-        return snapshot
+            profits.append(curve.profit)
+            decays.append(curve.decay)
+        return SourceTable(ids, rates, profits, decays)

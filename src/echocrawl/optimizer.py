@@ -332,9 +332,10 @@ def solve_schedule(
             pinched=frozenset(pinched),
         )
 
-    # In the search, a y = omega / p that underflows to 0 gives x = 0 and an
-    # infinite recrawl rate, and a residual's slope may overflow: values the
-    # search handles, so numpy's warnings for them are off here alone.
+    # In the search, a y = omega / p that underflows to 0 gives x = NaN (its
+    # Newton step divides 0 by 0), so a NaN residual, which the level search
+    # takes as below the budget; and a residual's slope may overflow.  The
+    # search runs on through both, so numpy's warnings are off here alone.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # u is the lowest multiplier known to leave the residual at or below
         # epsilon: at first the top utility, where no source is kept and the

@@ -43,7 +43,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .core import CrawlPage, PageId, RecrawlSource, Seconds, SourceId, SourceParams, check_setting
+from .core import CrawlPage, PageId, RecrawlSource, Seconds, SourceId, SourceTable, check_setting
 from .estimators import DEFAULT_DECAY
 from .optimizer import Schedule
 
@@ -186,9 +186,7 @@ class CrawlPolicy:
         return entry.page if entry else None
 
     @staticmethod
-    def schedule_params(
-        params: "Mapping[SourceId, SourceParams]",
-    ) -> "Mapping[SourceId, SourceParams]":
+    def schedule_params(params: SourceTable) -> SourceTable:
         """Hook: what the interval solver should see for this policy."""
         return params
 
@@ -339,15 +337,9 @@ class FrequencyPolicy(EchoSchedulePolicy):
     quality: intervals then follow the new-page rates alone."""
 
     @staticmethod
-    def schedule_params(
-        params: "Mapping[SourceId, SourceParams]",
-    ) -> "Mapping[SourceId, SourceParams]":
-        return {
-            source: SourceParams(
-                lambda_rate=p.lambda_rate, profit=1.0, decay=DEFAULT_DECAY
-            )
-            for source, p in params.items()
-        }
+    def schedule_params(params: SourceTable) -> SourceTable:
+        n = len(params)
+        return SourceTable(params.ids, params.lambda_rate, np.ones(n), np.full(n, DEFAULT_DECAY))
 
 
 POLICY_NAMES = (

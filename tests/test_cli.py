@@ -1019,6 +1019,26 @@ class TestFitAndScheduleCommands:
         line = text.splitlines()[2]
         assert line.endswith(",no")  # fitted flag off: defaults in use
 
+    def test_fitted_flag_is_the_online_estimators_rule(self, tmp_path):
+        # source 0's only click is at page age 0, in the bin that pins every
+        # curve to zero; source 1 has one click past it
+        path = tmp_path / "first-bin.csv"
+        path.write_text(
+            "# echocrawl-clicks-v1\n"
+            "page_id,source_id,created_s,click_time_s\n"
+            "1,0,100.0,100.0\n"
+            "2,1,100.0,700.0\n"
+        )
+        assert cli.main(["fit", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+        rows = (tmp_path / "params.csv").read_text().splitlines()[2:]
+        assert [row.rsplit(",", 1)[1] for row in rows] == ["no", "yes"]
+        state = EstimatorState()
+        state.register_page(1, 0, 100.0)
+        state.register_page(2, 1, 100.0)
+        state.push_logs([(1, 100.0), (2, 700.0)], 700.0)
+        assert [state.fittable(0), state.fittable(1)] == [False, True]
+        assert state.params_snapshot(700.0)[0].profit == state.default_profit
+
     def test_empty_log_exits_zero_with_empty_params(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# echocrawl-clicks-v1\npage_id,source_id,created_s,click_time_s\n")

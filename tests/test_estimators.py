@@ -14,7 +14,6 @@ from echocrawl.estimators import (
     DEFAULT_LAMBDA,
     DEFAULT_PROFIT,
     ClickHistogram,
-    CrawlHistoryWindow,
     EstimatorState,
     estimate_lambda,
     fit_objective,
@@ -22,7 +21,17 @@ from echocrawl.estimators import (
     posterior_rate,
 )
 from echocrawl import estimators
+from echocrawl.core import SourceParams, SourceTable
 from oracles import dense_fit_oracle, golden_fit_oracle
+
+
+def recrawls(steps):
+    """(time, links) pairs at the running sums of the (gap, links) steps."""
+    entries, t = [], 0.0
+    for gap, links in steps:
+        t += gap
+        entries.append((t, links))
+    return entries
 
 
 def model_histogram(profit, decay, bin_size, bins, page_count=1):
@@ -264,29 +273,27 @@ class TestFitProfitCurve:
 class TestEstimateLambda:
     def test_even_spacing(self):
         entries = [(700.0 * i, 3) for i in range(7)]  # spans 4200 s
-        window = CrawlHistoryWindow(7, entries)
         # 18 links after the first entry over 4200 s, prior 1 link per 3600 s
-        assert estimate_lambda(window, now=5000.0) == pytest.approx(19 / 7800)
+        assert estimate_lambda(entries, now=5000.0) == pytest.approx(19 / 7800)
 
     def test_hand_example(self):
-        window = CrawlHistoryWindow(7, [(0.0, 5), (100.0, 0), (300.0, 1)])
-        assert estimate_lambda(window, now=300.0) == pytest.approx(2 / 3900)
+        entries = [(0.0, 5), (100.0, 0), (300.0, 1)]
+        assert estimate_lambda(entries, now=300.0) == pytest.approx(2 / 3900)
 
     def test_all_zero_links(self):
-        window = CrawlHistoryWindow(4, [(0.0, 0), (50.0, 0), (90.0, 0)])
-        assert estimate_lambda(window, now=100.0) == pytest.approx(1 / 3690)
+        entries = [(0.0, 0), (50.0, 0), (90.0, 0)]
+        assert estimate_lambda(entries, now=100.0) == pytest.approx(1 / 3690)
 
     def test_too_few_entries_falls_back(self):
-        window = CrawlHistoryWindow(5, [(0.0, 3)])
-        assert estimate_lambda(window, now=10.0, default=0.25) == 0.25
-        assert estimate_lambda(CrawlHistoryWindow(5), now=0.0) == DEFAULT_LAMBDA
+        assert estimate_lambda([(0.0, 3)], now=10.0, default=0.25) == 0.25
+        assert estimate_lambda([], now=0.0) == DEFAULT_LAMBDA
 
     def test_future_entries_invisible(self):
-        window = CrawlHistoryWindow(5, [(0.0, 5), (100.0, 0), (300.0, 1)])
+        entries = [(0.0, 5), (100.0, 0), (300.0, 1)]
         # at now=150 only the first two entries exist: no link after the
         # first over 100 s
-        assert estimate_lambda(window, now=150.0) == pytest.approx(1 / 3700)
-        assert estimate_lambda(window, now=50.0, default=1.0) == 1.0
+        assert estimate_lambda(entries, now=150.0) == pytest.approx(1 / 3700)
+        assert estimate_lambda(entries, now=50.0, default=1.0) == 1.0
 
     @given(
         split_frac=st.floats(0.05, 0.95),
@@ -295,7 +302,6 @@ class TestEstimateLambda:
     def test_splitting_invariance(self, split_frac, first_part):
         # splitting one entry into two covering the same span and links
         base = [(0.0, 5), (100.0, 0), (300.0, 6), (400.0, 2)]
-        window = CrawlHistoryWindow(10, base)
         t_split = 100.0 + split_frac * 200.0
         split = [
             (0.0, 5),
@@ -304,9 +310,8 @@ class TestEstimateLambda:
             (300.0, 6 - first_part),
             (400.0, 2),
         ]
-        split_window = CrawlHistoryWindow(10, split)
-        assert estimate_lambda(split_window, now=500.0) == pytest.approx(
-            estimate_lambda(window, now=500.0)
+        assert estimate_lambda(split, now=500.0) == pytest.approx(
+            estimate_lambda(base, now=500.0)
         )
 
     @given(
@@ -316,14 +321,10 @@ class TestEstimateLambda:
         default=st.floats(1e-9, 1e3),
     )
     def test_posterior_never_zero_or_infinite(self, capacity, steps, now, default):
-        entries, t = [], 0.0
-        for gap, links in steps:
-            t += gap
-            entries.append((t, links))
-        window = CrawlHistoryWindow(capacity, entries)
-        rate = estimate_lambda(window, now, default)
+        entries = recrawls(steps)[-capacity:]
+        rate = estimate_lambda(entries, now, default)
         assert 0.0 < rate < math.inf
-        visible = [e for e in window.entries if now is None or e[0] <= now]
+        visible = [e for e in entries if now is None or e[0] <= now]
         if len(visible) < 2:
             assert rate == default
         assert posterior_rate(0, 0.0, default) == default
@@ -345,7 +346,7 @@ class TestEstimateLambda:
         for _ in range(n_windows):
             times = np.cumsum(rng.uniform(1.0, 1200.0, capacity))
             links = rng.poisson(rate * np.diff(times, prepend=0.0))
-            estimate_lambda(CrawlHistoryWindow(capacity, zip(times.tolist(), links.tolist())))
+            estimate_lambda(list(zip(times.tolist(), links.tolist())))
             first_links.append(int(links[0]))
         arrivals, spans = np.array(seen, dtype=float).T
 
@@ -357,40 +358,56 @@ class TestEstimateLambda:
         assert not within_three_standard_errors(arrivals + np.array(first_links))
 
 
-class TestCrawlHistoryWindow:
-    def test_eviction(self):
-        window = CrawlHistoryWindow(2, [(0.0, 1), (1.0, 2)])
-        window = window.record(2.0, 3)
-        assert window.entries == ((1.0, 2), (2.0, 3))
+class TestRecordCrawl:
+    """EstimatorState.record_crawl keeps each source's last history_capacity
+    recrawls and checks each new one against the last."""
+
+    def test_only_the_last_capacity_entries_count(self):
+        state = EstimatorState(history_capacity=2)
+        for time, links in [(0.0, 1), (1.0, 2), (2.0, 3)]:
+            state.record_crawl(0, time, links)
+        expected = estimate_lambda([(1.0, 2), (2.0, 3)], default=DEFAULT_LAMBDA)
+        assert state.params_snapshot(now=2.0)[0].lambda_rate == expected
+        assert expected != estimate_lambda([(0.0, 1), (1.0, 2), (2.0, 3)])
 
     def test_strictly_increasing_required(self):
-        with pytest.raises(ValueError):
-            CrawlHistoryWindow(3, [(0.0, 1), (0.0, 2)])
-        with pytest.raises(ValueError):
-            CrawlHistoryWindow(3, [(5.0, 1)]).record(5.0, 2)
+        state = EstimatorState(history_capacity=3)
+        state.record_crawl(0, 5.0, 1)
+        for time in (5.0, 4.0):
+            with pytest.raises(ValueError, match="crawl times must be strictly increasing"):
+                state.record_crawl(0, time, 2)
+        state.record_crawl(1, 5.0, 2)  # each source has its own history
 
-    def test_capacity_minimum(self):
-        with pytest.raises(ValueError):
-            CrawlHistoryWindow(1)
+    def test_rejects_negative_links(self):
+        state = EstimatorState(history_capacity=3)
+        state.record_crawl(0, 0.0, 1)
+        with pytest.raises(ValueError, match="link counts must be >= 0"):
+            state.record_crawl(0, 1.0, -1)
 
-    def test_record_rejects_negative_links(self):
+    def test_rejected_entry_is_not_kept(self):
+        state = EstimatorState(history_capacity=3)
+        state.record_crawl(0, 0.0, 1)
         with pytest.raises(ValueError):
-            CrawlHistoryWindow(3, [(0.0, 1)]).record(1.0, -1)
+            state.record_crawl(0, 1.0, -1)
+        state.record_crawl(0, 1.0, 4)
+        expected = estimate_lambda([(0.0, 1), (1.0, 4)])
+        assert state.params_snapshot(now=1.0)[0].lambda_rate == expected
 
     @given(
         capacity=st.integers(2, 8),
         steps=st.lists(st.tuples(st.floats(1e-3, 1e4), st.integers(0, 50)), max_size=20),
+        now=st.one_of(st.none(), st.floats(0.0, 2e5)),
     )
-    def test_record_equals_construction(self, capacity, steps):
-        entries, t = [], 0.0
-        window = CrawlHistoryWindow(capacity)
-        for gap, links in steps:
-            t += gap
-            entries.append((t, links))
-            window = window.record(t, links)
-        built = CrawlHistoryWindow(capacity, entries)
-        assert window == built
-        assert (window.capacity, window.entries) == (built.capacity, built.entries)
+    def test_snapshot_rate_is_estimate_over_last_capacity(self, capacity, steps, now):
+        state = EstimatorState(history_capacity=capacity)
+        state.ensure_source(0)
+        entries = recrawls(steps)
+        for time, links in entries:
+            state.record_crawl(0, time, links)
+        t = math.inf if now is None else now
+        expected = estimate_lambda(entries[-capacity:], t, DEFAULT_LAMBDA)
+        assert state.params_snapshot(t)[0].lambda_rate == expected
+        assert state.value_rates(t)[0] == expected * DEFAULT_PROFIT
 
 
 class TestEstimatorState:
@@ -477,6 +494,34 @@ class TestEstimatorState:
         assert params.lambda_rate == DEFAULT_LAMBDA
         assert params.profit == DEFAULT_PROFIT
         assert params.decay == DEFAULT_DECAY
+
+    def test_snapshot_is_a_read_only_table_with_ids_ascending(self):
+        state = EstimatorState()
+        for source in (5, 2, 9):
+            state.ensure_source(source)
+        table = state.params_snapshot(now=0.0)
+        assert isinstance(table, SourceTable)
+        assert table.ids.tolist() == [2, 5, 9]
+        assert table.lambda_rate.tolist() == [DEFAULT_LAMBDA] * 3
+        for column in (table.ids, table.lambda_rate, table.profit, table.decay):
+            assert not column.flags.writeable
+        defaults = SourceParams(DEFAULT_LAMBDA, DEFAULT_PROFIT, DEFAULT_DECAY)
+        assert dict(table) == dict.fromkeys([2, 5, 9], defaults)  # the Mapping view
+        assert len(EstimatorState().params_snapshot(now=0.0)) == 0
+
+    def test_fittable_needs_a_click_past_the_first_bin(self):
+        state = EstimatorState(bin_size=100.0)
+        state.ensure_source(0)
+        assert not state.fittable(0) and not state.fittable(1)
+        state.register_page(1, source=0, created=0.0)
+        state.push_logs([(1, 0.0)], t_push=10.0)  # bin 0 pins every curve
+        assert not state.fittable(0)
+        assert state.params_snapshot(now=10.0)[0].profit == DEFAULT_PROFIT
+        state.push_logs([(1, 150.0)], t_push=200.0)
+        assert state.fittable(0)
+        hist = state.histogram(0)
+        expected = fit_profit_curve(hist, span_floor(hist))
+        assert state.params_snapshot(now=200.0)[0].profit == expected.profit
 
     def test_snapshot_uses_crawl_history(self):
         state = EstimatorState()

@@ -325,6 +325,21 @@ class TestGapResolution:
         assert sched.pinched  # some sources had to be excluded
         check_schedule(params, budget, sched)
 
+    def test_drop_gap_excludes_largest_lambda_first(self):
+        # Utilities 5, 1, 1, 1 (mu = lambda, P = u (1 - 1/e)); the three
+        # tied sources have distinct lambdas.  Excluding 3e-3, then 2e-3
+        # leaves one tied source kept; smallest first would pinch all three.
+        lam = [1e-3, 1e-3, 3e-3, 2e-3]
+        params = {
+            i: SourceParams(rate, u * -math.expm1(-1.0), rate)
+            for i, (rate, u) in enumerate(zip(lam, [5.0, 1.0, 1.0, 1.0]))
+        }
+        budget = 0.0035
+        sched = solve_schedule(params, budget)
+        assert sched.pinched == {2, 3}
+        assert {sid for sid, _ in sched.finite_items()} == {0, 1}
+        check_schedule(params, budget, sched)
+
 
 class TestBreakpointSearch:
     def test_matches_crossing_oracle_on_starved_tied_instances(self):

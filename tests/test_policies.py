@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from echocrawl.core import CrawlPage, RecrawlSource, SourceParams
+from echocrawl.core import CrawlPage, RecrawlSource, SourceTable
+from echocrawl.estimators import DEFAULT_DECAY
 from echocrawl.optimizer import Schedule, solve_schedule
 from echocrawl.policies import (
     POLICY_NAMES,
@@ -277,20 +278,24 @@ class TestFixedQuota:
 
 class TestFrequency:
     def test_equal_lambda_means_equal_intervals(self):
-        params = {
-            0: SourceParams(lambda_rate=0.001, profit=5.0, decay=1e-4),
-            1: SourceParams(lambda_rate=0.001, profit=0.05, decay=1e-3),
-        }
+        params = SourceTable([0, 1], [0.001, 0.001], [5.0, 0.05], [1e-4, 1e-3])
         solved = solve_schedule(FrequencyPolicy.schedule_params(params), 0.01)
         assert solved.intervals[0] == pytest.approx(solved.intervals[1], rel=1e-6)
 
     def test_higher_lambda_shorter_interval(self):
-        params = {
-            0: SourceParams(lambda_rate=0.002, profit=1.0, decay=1e-4),
-            1: SourceParams(lambda_rate=0.0005, profit=1.0, decay=1e-4),
-        }
+        params = SourceTable([0, 1], [0.002, 0.0005], [1.0, 1.0], [1e-4, 1e-4])
         solved = solve_schedule(FrequencyPolicy.schedule_params(params), 0.01)
         assert solved.intervals[0] <= solved.intervals[1]
+
+    def test_schedule_params_equalize_quality_as_a_table(self):
+        params = SourceTable([4, 1], [0.002, 0.0005], [3.0, 0.5], [1e-4, 1e-3])
+        table = FrequencyPolicy.schedule_params(params)
+        assert isinstance(table, SourceTable)
+        assert table.ids.tolist() == [4, 1]
+        assert table.lambda_rate.tolist() == [0.002, 0.0005]
+        assert table.profit.tolist() == [1.0, 1.0]
+        assert table.decay.tolist() == [DEFAULT_DECAY, DEFAULT_DECAY]
+        assert EchoSchedulePolicy.schedule_params(params) is params
 
     def test_decides_like_echo_schedule(self):
         frequency = FrequencyPolicy([0, 1])
