@@ -117,8 +117,8 @@ class SourceTable(Mapping):
 
     def __init__(self, ids, lambda_rate, profit, decay):
         self.ids = np.array(ids)
-        if self.ids.dtype.kind not in "iu":  # ids past 64 bits, or not integers
-            self.ids = np.array(ids, dtype=object)
+        if self.ids.dtype.kind not in "iu":  # no ids, ids past 64 bits, or not integers
+            self.ids = np.array(ids, dtype=np.int64 if self.ids.size == 0 else object)
         self.lambda_rate, self.profit, self.decay = columns = [
             np.array(column, dtype=np.float64) for column in (lambda_rate, profit, decay)
         ]

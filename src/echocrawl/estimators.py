@@ -322,6 +322,8 @@ class EstimatorState:
         the last history_capacity recrawls of a source are kept."""
         history = self._track(source).history
         entry = (float(time), int(new_links))
+        if not math.isfinite(entry[0]):
+            raise ValueError(f"crawl time must be finite, got {time}")
         if history and entry[0] <= history[-1][0]:
             raise ValueError("crawl times must be strictly increasing")
         if entry[1] < 0:

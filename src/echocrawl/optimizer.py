@@ -255,8 +255,6 @@ class _Sources:
     def residual(self, omega: float, budget: float):
         """Budget residual at omega and the kept sources' g-arguments x."""
         k = self.kept(omega)
-        if k == 0:
-            return -budget, np.empty(0)
         x = _g_inverse_bulk(omega / self.p[:k])
         return float((self.mu[:k] / x).sum() + self.lam_prefix[k] - budget), x
 

@@ -2,10 +2,12 @@
 
 Each fetch slot the crawl loop asks the active policy for one decision:
 recrawl a content source (to discover new links), crawl a discovered page
-(to earn its remaining clicks), or stay idle.  The loop feeds observations
-back through the observe_* hooks, pushes fresh interval schedules via
-set_schedule, and (for the greedy policy) refreshed per-source value rates
-via set_source_values.
+(to earn its remaining clicks), or stay idle.  The loop owns which pages
+were revealed and fetched: it reveals each page once through observe_page
+and rejects an illegal decision.  A policy keeps only last-crawl times,
+the schedule (set_schedule) or value rates (set_source_values) the loop
+pushes, and the order in which it will fetch the revealed pages: newest
+first in a heap, or for bfs in discovery order.
 
 Policies:
 
@@ -38,6 +40,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -56,54 +59,9 @@ class Idle:
 PolicyDecision = Union[RecrawlSource, CrawlPage, Idle]
 
 
-@dataclass(frozen=True, slots=True)
-class FrontierPage:
-    page: PageId
-    source: SourceId
-    discovered: Seconds
-
-
-class Frontier:
-    """Discovered-but-uncrawled pages, retrievable newest-first.
-
-    A page is held at most once; crawling removes it.  Ties on discovery
-    time go to the lowest page id.
-    """
-
-    def __init__(self) -> None:
-        self._heap: "list[tuple[float, PageId]]" = []
-        self._members: "dict[PageId, FrontierPage]" = {}
-
-    def add(self, page: PageId, source: SourceId, discovered: Seconds) -> bool:
-        """Insert a page; returns False if it is already in the frontier."""
-        if page in self._members:
-            return False
-        self._members[page] = FrontierPage(page, source, discovered)
-        heapq.heappush(self._heap, (-discovered, page))
-        return True
-
-    def remove(self, page: PageId) -> FrontierPage:
-        """Drop a page (it was crawled); the heap entry dies lazily."""
-        return self._members.pop(page)
-
-    def peek_newest(self) -> FrontierPage | None:
-        while self._heap:
-            _, page = self._heap[0]
-            entry = self._members.get(page)
-            if entry is not None:
-                return entry
-            heapq.heappop(self._heap)  # stale: page was removed
-        return None
-
-    def __contains__(self, page: PageId) -> bool:
-        return page in self._members
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-
 class CrawlPolicy:
-    """Shared policy state: last-crawl times, frontier, current schedule."""
+    """Shared policy state: last-crawl times, current schedule, and the
+    revealed pages not yet fetched, newest first."""
 
     #: whether the crawl loop must keep this policy supplied with schedules
     uses_schedule = False
@@ -115,11 +73,12 @@ class CrawlPolicy:
         if not self.sources:
             raise ValueError("policy needs at least one source")
         self.schedule: Schedule | None = None
-        self.frontier = Frontier()
         self._pos = {source: i for i, source in enumerate(self.sources)}
         # -inf for never crawled, so now - last is inf exactly there
         self._last = np.full(len(self.sources), -np.inf)
-        self._crawled_pages: "set[PageId]" = set()
+        # (-discovered, page) of every unfetched page: heap[0] is the
+        # newest, ties to the lowest id
+        self._page_heap: "list[tuple[float, PageId]]" = []
 
     # -- feedback from the crawl loop -------------------------------------
 
@@ -140,17 +99,17 @@ class CrawlPolicy:
         self._check_known(values, "source values")
 
     def observe_page(self, page: PageId, source: SourceId, discovered: Seconds) -> None:
-        """A recrawl surfaced a link to `page`."""
-        if page in self._crawled_pages:
-            return
-        self.frontier.add(page, source, discovered)
+        """A recrawl surfaced a link to `page`; the loop reveals each once."""
+        heapq.heappush(self._page_heap, (-discovered, page))
 
     def observe_source_crawled(self, source: SourceId, time: Seconds) -> None:
         self._last[self._pos[source]] = time
 
     def observe_page_crawled(self, page: PageId, time: Seconds) -> None:
-        self.frontier.remove(page)
-        self._crawled_pages.add(page)
+        """`page` was fetched; it must be the page this policy fetches next."""
+        if not self._page_heap or self._page_heap[0][1] != page:
+            raise ValueError(f"fetched page {page} is not {type(self).__name__}'s next page")
+        heapq.heappop(self._page_heap)
 
     # -- decision helpers ---------------------------------------------------
 
@@ -181,10 +140,6 @@ class CrawlPolicy:
             return None
         return self.sources[self._finite_pos[best]]
 
-    def _newest_page(self) -> PageId | None:
-        entry = self.frontier.peek_newest()
-        return entry.page if entry else None
-
     @staticmethod
     def schedule_params(params: SourceTable) -> SourceTable:
         """Hook: what the interval solver should see for this policy."""
@@ -204,9 +159,8 @@ class EchoSchedulePolicy(CrawlPolicy):
         due = self._most_behind_source(now, due_only=True)
         if due is not None:
             return RecrawlSource(due)
-        page = self._newest_page()
-        if page is not None:
-            return CrawlPage(page)
+        if self._page_heap:
+            return CrawlPage(self._page_heap[0][1])
         return Idle()
 
 
@@ -217,9 +171,8 @@ class EchoNewPagesPolicy(CrawlPolicy):
     uses_schedule = True
 
     def decide(self, now: Seconds, slot_index: int = 0) -> PolicyDecision:
-        page = self._newest_page()
-        if page is not None:
-            return CrawlPage(page)
+        if self._page_heap:
+            return CrawlPage(self._page_heap[0][1])
         behind = self._most_behind_source(now, due_only=False)
         if behind is not None:
             return RecrawlSource(behind)
@@ -260,9 +213,8 @@ class EchoGreedyPolicy(CrawlPolicy):
         self._score = np.zeros(len(self.sources))
 
     def decide(self, now: Seconds, slot_index: int = 0) -> PolicyDecision:
-        page = self._newest_page()
-        if page is not None:
-            return CrawlPage(page)
+        if self._page_heap:
+            return CrawlPage(self._page_heap[0][1])
         elapsed = now - self._last
         score = np.multiply(self._rate, elapsed, out=self._score, where=self._valued)
         best = int(score.argmax())
@@ -282,19 +234,16 @@ class BfsPolicy(CrawlPolicy):
         random.Random(seed).shuffle(order)
         self.order = tuple(order)
         self._cursor = 0
-        self._queue: "list[PageId]" = []
-        self._queue_head = 0
+        # revealed, unfetched pages in discovery order: bfs fetches the head
+        self._queue: "deque[PageId]" = deque()
 
     def observe_page(self, page: PageId, source: SourceId, discovered: Seconds) -> None:
-        if page in self._crawled_pages:
-            return
-        if self.frontier.add(page, source, discovered):
-            self._queue.append(page)
+        self._queue.append(page)
 
     def observe_page_crawled(self, page: PageId, time: Seconds) -> None:
-        super().observe_page_crawled(page, time)
-        if self._queue_head < len(self._queue) and self._queue[self._queue_head] == page:
-            self._queue_head += 1
+        if not self._queue or self._queue[0] != page:
+            raise ValueError(f"fetched page {page} is not {type(self).__name__}'s next page")
+        self._queue.popleft()
 
     def observe_source_crawled(self, source: SourceId, time: Seconds) -> None:
         super().observe_source_crawled(source, time)
@@ -302,11 +251,8 @@ class BfsPolicy(CrawlPolicy):
             self._cursor = (self._cursor + 1) % len(self.order)
 
     def decide(self, now: Seconds, slot_index: int = 0) -> PolicyDecision:
-        while self._queue_head < len(self._queue):
-            page = self._queue[self._queue_head]
-            if page in self.frontier:
-                return CrawlPage(page)
-            self._queue_head += 1
+        if self._queue:
+            return CrawlPage(self._queue[0])
         return RecrawlSource(self.order[self._cursor])
 
 
@@ -318,18 +264,10 @@ class FixedQuotaPolicy(CrawlPolicy):
 
     def decide(self, now: Seconds, slot_index: int = 0) -> PolicyDecision:
         due = self._most_behind_source(now, due_only=True)
-        page = self._newest_page()
-        if slot_index % 2 == 0:
-            first, second = due, page
-            make_first, make_second = RecrawlSource, CrawlPage
-        else:
-            first, second = page, due
-            make_first, make_second = CrawlPage, RecrawlSource
-        if first is not None:
-            return make_first(first)
-        if second is not None:
-            return make_second(second)
-        return Idle()
+        recrawl = RecrawlSource(due) if due is not None else None
+        fetch = CrawlPage(self._page_heap[0][1]) if self._page_heap else None
+        first, second = (recrawl, fetch) if slot_index % 2 == 0 else (fetch, recrawl)
+        return first or second or Idle()
 
 
 class FrequencyPolicy(EchoSchedulePolicy):
@@ -342,15 +280,6 @@ class FrequencyPolicy(EchoSchedulePolicy):
         return SourceTable(params.ids, params.lambda_rate, np.ones(n), np.full(n, DEFAULT_DECAY))
 
 
-POLICY_NAMES = (
-    "echo-schedule",
-    "echo-newpages",
-    "echo-greedy",
-    "bfs",
-    "fixed-quota",
-    "frequency",
-)
-
 _REGISTRY = {
     "echo-schedule": EchoSchedulePolicy,
     "echo-newpages": EchoNewPagesPolicy,
@@ -359,6 +288,8 @@ _REGISTRY = {
     "fixed-quota": FixedQuotaPolicy,
     "frequency": FrequencyPolicy,
 }
+
+POLICY_NAMES = tuple(_REGISTRY)
 
 
 def make_policy(

@@ -2,6 +2,7 @@
 with their exit codes and determinism guarantees."""
 
 import dataclasses
+import logging
 import math
 import os
 import re
@@ -784,6 +785,55 @@ class TestRunAndReportCommands:
         )
         assert code == cli.EXIT_CONFIG
 
+    def test_scenario_file_of_another_config_exits_2(self, grid, tmp_path, capsys):
+        scenario = tiny_scenario()  # two sources; the config has three
+        path = tmp_path / "other.csv"
+        fileio.write_scenario(path, scenario)
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(grid / "tiny.yaml"), "--scenario", str(path)]
+        assert cli.main([*argv, "--out", str(out), "--quiet"]) == cli.EXIT_CONFIG
+        got = fileio.scenario_fingerprint(scenario.config)
+        message = (
+            rf"config error: scenario file {re.escape(str(path))} \(fingerprint {got}\) "
+            r"does not match the config's scenario \([0-9a-f]{12}\)"
+        )
+        assert re.search(message, capsys.readouterr().err)
+        assert not list(out.iterdir())
+
+    def test_duplicate_seeds_exit_2(self, grid, tmp_path, capsys):
+        report = str(grid / "out" / "bfs_b0.02_s0.report.csv")
+        argv = ["report", report, report, "--out", str(tmp_path), "--quiet"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        message = "config error: duplicate seeds for policy=bfs budget=0.02: "
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "summary.csv").exists()
+
+    def test_report_prints_its_table_unless_quiet(self, grid, tmp_path, capsys):
+        reports = sorted(str(p) for p in (grid / "out").glob("*.report.csv"))
+        assert cli.main(["report", *reports, "--out", str(tmp_path)]) == 0
+        said, header, *lines = capsys.readouterr().out.splitlines()
+        assert said == f"wrote {tmp_path / 'summary.csv'} and {tmp_path / 'series.csv'}"
+        assert header.split() == ["policy", "budget", "seeds", "mean_Q", "std_Q"]
+        with fileio._Rows(tmp_path / "summary.csv", "summary") as table:
+            rows = list(table)
+        assert len(lines) == len(rows)
+        for line, (policy, budget, seeds, mean_q, std_q, *_) in zip(lines, rows):
+            btext = "-" if budget is None else repr(budget)
+            assert line.split() == [policy, btext, str(seeds), f"{mean_q:.6g}", f"{std_q:.6g}"]
+        capsys.readouterr()
+        assert cli.main(["report", *reports, "--out", str(tmp_path), "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_report_without_series_warns(self, grid, tmp_path, caplog):
+        name = "bfs_b0.02_s0.report.csv"
+        (tmp_path / name).write_bytes((grid / "out" / name).read_bytes())
+        argv = ["report", str(tmp_path / name), "--out", str(tmp_path / "rep"), "--quiet"]
+        with caplog.at_level(logging.WARNING, logger="echocrawl.cli"):
+            assert cli.main(argv) == 0
+        assert "no sibling .series.csv for 1 report file(s)" in caplog.messages
+        with fileio._Rows(tmp_path / "rep" / "series.csv", "qseries") as table:
+            assert list(table) == []
+
     def test_spec_example_mean_and_sample_std(self, tmp_path):
         for i, quality in enumerate((0.6, 0.8)):
             report = MetricReport(
@@ -1133,3 +1183,28 @@ class TestPresets:
     def test_unknown_preset_is_config_error(self):
         with pytest.raises(fileio.ConfigError, match="unknown preset"):
             cli._load_config("preset:nope")
+
+
+class TestEntryPoint:
+    """``python -m echocrawl`` runs the CLI and exits with its code."""
+
+    @staticmethod
+    def module(*argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        return subprocess.run(
+            [sys.executable, "-m", "echocrawl", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+
+    def test_help_exits_0(self):
+        done = self.module("--help")
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: ")
+
+    def test_schedule_without_budget_exits_2(self, tmp_path):
+        done = self.module("schedule", str(tmp_path / "params.csv"))
+        assert done.returncode == 2
+        assert "the following arguments are required: --budget" in done.stderr

@@ -127,6 +127,12 @@ class TestSourceTable:
         table = SourceTable.from_params(enumerate(params))
         assert table.utility().tolist() == [sp.utility for sp in params]
 
+    def test_empty_table_has_integer_ids(self):
+        for ids in ([], np.array([]), np.array([], dtype=object)):
+            table = SourceTable(ids, [], [], [])
+            assert len(table) == 0 and table.ids.dtype == np.int64
+            assert not table.ids.flags.writeable
+
     @pytest.mark.parametrize("row", BAD_ROWS)
     def test_rules_and_messages_are_source_params(self, row):
         with pytest.raises(ValueError) as expected:

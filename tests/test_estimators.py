@@ -384,6 +384,18 @@ class TestRecordCrawl:
         with pytest.raises(ValueError, match="link counts must be >= 0"):
             state.record_crawl(0, 1.0, -1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_time(self, bad):
+        state = EstimatorState(history_capacity=3)
+        with pytest.raises(ValueError, match=f"crawl time must be finite, got {bad}"):
+            state.record_crawl(0, bad, 1)  # as the first entry
+        state.record_crawl(0, 0.0, 1)
+        with pytest.raises(ValueError, match=f"crawl time must be finite, got {bad}"):
+            state.record_crawl(0, bad, 2)  # after a finite one
+        state.record_crawl(0, 5.0, 3)
+        expected = estimate_lambda([(0.0, 1), (5.0, 3)])
+        assert state.params_snapshot(now=5.0)[0].lambda_rate == expected
+
     def test_rejected_entry_is_not_kept(self):
         state = EstimatorState(history_capacity=3)
         state.record_crawl(0, 0.0, 1)
@@ -507,7 +519,9 @@ class TestEstimatorState:
             assert not column.flags.writeable
         defaults = SourceParams(DEFAULT_LAMBDA, DEFAULT_PROFIT, DEFAULT_DECAY)
         assert dict(table) == dict.fromkeys([2, 5, 9], defaults)  # the Mapping view
-        assert len(EstimatorState().params_snapshot(now=0.0)) == 0
+        empty = EstimatorState().params_snapshot(now=0.0)
+        assert len(empty) == 0
+        assert empty.ids.dtype.kind == "i"
 
     def test_fittable_needs_a_click_past_the_first_bin(self):
         state = EstimatorState(bin_size=100.0)

@@ -206,6 +206,7 @@ class TestRoundTrips:
 
 COLUMNS = {
     "schedule": "source_id,interval_s",
+    "clicks": "page_id,source_id,created_s,click_time_s",
     "params": "source_id,lambda_rate,profit,decay,pages,clicks,fitted",
     "trace": "time_s,action,target_id,realized_profit",
     "scenario": "record,id,source_id,lambda_rate,profit_mean,decay,created_s,vanish_s,"
@@ -339,3 +340,107 @@ def scenario_file(tmp_path, row):
     path = tmp_path / "bad.csv"
     path.write_text(f"{header}\n{COLUMNS['scenario']}\nsource,0,,0.5,1.0,0.001,,,\n{row}\n")
     return path
+
+
+REPORT_ROW = ("bfs", 0.1, 1, 100.0, 50.0, 0.5, 0.5, 10.0, 3, 4, 0, 5, 1, 0, 0, 1.0)
+
+
+class TestInputChecks:
+    """Each check on outside input names the file and line it rejects."""
+
+    @pytest.mark.parametrize("value", ["a b", "a,b"])
+    def test_header_value_with_space_or_comma(self, tmp_path, value):
+        with pytest.raises(ValueError, match="may not contain spaces or commas"):
+            fileio.write_table(tmp_path / "s.csv", "schedule", {"note": value}, [])
+
+    def test_row_with_wrong_cell_count(self, tmp_path):
+        message = r"schedule row has 3 cells, expected 2: \(0, 1.0, 2\)"
+        with pytest.raises(ValueError, match=message):
+            fileio.write_table(tmp_path / "s.csv", "schedule", {}, [(0, 1.0, 2)])
+
+    def test_malformed_header_field(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# echocrawl-schedule-v1 budget=1.0 loose\n{COLUMNS['schedule']}\n")
+        with pytest.raises(fileio.FileFormatError) as err:
+            fileio.read_schedule(path)
+        assert str(err.value).endswith("bad.csv:1: malformed header field 'loose'")
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("source,0,,0.5,1.0,0.001,,,", "bad.csv:4: duplicate source id 0"),
+            ("page,7,0,,,,10.0,20.0,\npage,7,0,,,,11.0,20.0,", "bad.csv:5: duplicate page id 7"),
+            ("host,1,,,,,,,", "bad.csv:4: unknown record kind 'host'"),
+            ("page,7,3,,,,10.0,20.0,", "bad.csv:1: page 7 references unknown source 3"),
+        ],
+    )
+    def test_scenario_records(self, tmp_path, row, message):
+        path = scenario_file(tmp_path, row)
+        with pytest.raises(fileio.FileFormatError) as err:
+            fileio.read_scenario(path)
+        assert str(err.value).endswith(message)
+
+    def test_scenario_header_without_horizon(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        header = "# echocrawl-scenario-v1 seed=0 link_window=5 budget=0.1"
+        path.write_text(f"{header}\n{COLUMNS['scenario']}\nsource,0,,0.5,1.0,0.001,,,\n")
+        with pytest.raises(fileio.FileFormatError) as err:
+            fileio.read_scenario(path)
+        assert str(err.value).endswith("bad.csv:1: bad scenario header: 'horizon'")
+
+    def test_click_log_page_redeclared(self, tmp_path):
+        path = table_file(tmp_path / "bad.csv", "clicks", "0,0,1.0,2.0", "0,1,1.0,3.0")
+        with pytest.raises(fileio.FileFormatError) as err:
+            fileio.read_click_log(path)
+        assert str(err.value).endswith(
+            "bad.csv:4: page 0 re-declared with different source/created"
+        )
+
+    def test_trace_unknown_action(self, tmp_path):
+        path = table_file(tmp_path / "bad.csv", "trace", "1.0,fetch,3,0.0")
+        with pytest.raises(fileio.FileFormatError) as err:
+            fileio.read_trace(path)
+        assert str(err.value).endswith("bad.csv:3: unknown action 'fetch'")
+
+    @pytest.mark.parametrize("n, line", [(0, 2), (2, 4)])
+    def test_report_needs_one_row(self, tmp_path, n, line):
+        path = tmp_path / "r.csv"
+        fileio.write_table(path, "report", {}, [REPORT_ROW] * n)
+        with pytest.raises(fileio.FileFormatError) as err:
+            fileio.read_report(path)
+        assert str(err.value).endswith(f"r.csv:{line}: expected 1 data row, got {n}")
+
+    def test_params_without_sources(self, tmp_path):
+        path = table_file(tmp_path / "p.csv", "params")
+        with pytest.raises(fileio.FileFormatError) as err:
+            fileio.read_params(path)
+        assert str(err.value).endswith("p.csv:2: params file has no sources")
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["0,5.0", "0,6.0"], "bad.csv:4: duplicate source id 0"),
+            (["0,5.0", "1,0.0"], "bad.csv:4: interval must be > 0, got 0.0"),
+            (["0,-1.0"], "bad.csv:3: interval must be > 0, got -1.0"),
+        ],
+    )
+    def test_schedule_rows(self, tmp_path, rows, message):
+        path = table_file(tmp_path / "bad.csv", "schedule", *rows)
+        with pytest.raises(fileio.FileFormatError) as err:
+            fileio.read_schedule(path)
+        assert str(err.value).endswith(message)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a: [1, 2\n", "c.yaml: invalid YAML: "),
+            ("- 1\n- 2\n", "c.yaml: top level must be a mapping"),
+        ],
+    )
+    def test_yaml_mapping(self, tmp_path, text, message):
+        path = tmp_path / "c.yaml"
+        path.write_text(text)
+        with pytest.raises(fileio.ConfigError) as err:
+            fileio.load_yaml_mapping(path)
+        assert str(err.value).startswith(f"{path}")
+        assert message in str(err.value)

@@ -503,6 +503,16 @@ class TestScheduleInvariants:
             assert r1 == r2
             assert x1.tolist() == x2.tolist()
 
+    def test_residual_with_no_source_kept_is_minus_budget(self):
+        # omega at the top utility keeps no source: the general path sums
+        # nothing and returns exactly -budget
+        src = optimizer._Sources(
+            [0, 1], np.array([2.0, 0.5]), np.array([1e-3, 1e-4]), np.array([0.1, 0.2])
+        )
+        for budget in (FOUND1_BUDGET, 0.3, 7.0):
+            residual, x = src.residual(2.0, budget)
+            assert residual == -budget and x.size == 0
+
     @pytest.mark.parametrize("epsilon", [1e-12, 1e-14])
     def test_tight_epsilon_solves(self, epsilon):
         # The inner inversion leaves each source's x within a few ulps of

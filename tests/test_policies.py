@@ -16,7 +16,6 @@ from echocrawl.policies import (
     EchoSchedulePolicy,
     FixedQuotaPolicy,
     FrequencyPolicy,
-    Frontier,
     Idle,
     make_policy,
 )
@@ -33,27 +32,36 @@ def crawled(policy, source, time):
     policy.observe_source_crawled(source, time)
 
 
-class TestFrontier:
+class TestPageOrder:
     def test_newest_first_with_id_ties(self):
-        frontier = Frontier()
-        frontier.add(5, source=0, discovered=10.0)
-        frontier.add(9, source=0, discovered=20.0)
-        frontier.add(3, source=1, discovered=20.0)
-        assert frontier.peek_newest().page == 3  # newest, tie to lowest id
-        frontier.remove(3)
-        assert frontier.peek_newest().page == 9
-        frontier.remove(9)
-        assert frontier.peek_newest().page == 5
+        policy = EchoSchedulePolicy([0, 1])
+        policy.set_schedule(fixed_schedule({0: math.inf, 1: math.inf}))
+        policy.observe_page(5, source=0, discovered=10.0)
+        policy.observe_page(9, source=0, discovered=20.0)
+        policy.observe_page(3, source=1, discovered=20.0)
+        fetched = []
+        for now in (21.0, 22.0, 23.0):
+            decision = policy.decide(now)
+            fetched.append(decision.page)
+            policy.observe_page_crawled(decision.page, now)
+        assert fetched == [3, 9, 5]  # newest, tie to lowest id
+        assert policy.decide(24.0) == Idle()
 
-    def test_no_duplicates(self):
-        frontier = Frontier()
-        assert frontier.add(5, 0, 1.0)
-        assert not frontier.add(5, 0, 2.0)
-        assert len(frontier) == 1
-
-    def test_remove_missing_raises(self):
-        with pytest.raises(KeyError):
-            Frontier().remove(1)
+    @pytest.mark.parametrize("name", ["echo-schedule", "bfs"])
+    def test_fetching_other_than_next_raises(self, name):
+        policy = make_policy(name, [0])
+        policy.observe_page(5, source=0, discovered=10.0)
+        policy.observe_page(9, source=0, discovered=20.0)
+        with pytest.raises(ValueError, match="fetched page 7 is not"):
+            policy.observe_page_crawled(7, 21.0)
+        # newest first for the heap policies, discovery order for bfs
+        first, second = (9, 5) if name == "echo-schedule" else (5, 9)
+        with pytest.raises(ValueError, match=f"fetched page {second} is not"):
+            policy.observe_page_crawled(second, 21.0)
+        policy.observe_page_crawled(first, 21.0)
+        policy.observe_page_crawled(second, 22.0)
+        with pytest.raises(ValueError, match="fetched page 5 is not"):
+            policy.observe_page_crawled(5, 23.0)  # already fetched
 
 
 class TestEchoSchedule:
@@ -367,8 +375,7 @@ class TestLegality:
                 now = float(slot)
                 decision = policy.decide(now, slot_index=slot)
                 if isinstance(decision, CrawlPage):
-                    assert decision.page in policy.frontier, name
-                    assert decision.page not in crawled_pages, name
+                    assert decision.page in seen_pages - crawled_pages, name
                     crawled_pages.add(decision.page)
                     policy.observe_page_crawled(decision.page, now)
                 elif isinstance(decision, RecrawlSource):

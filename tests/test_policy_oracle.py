@@ -38,16 +38,14 @@ class Reference:
         self.intervals = {}
         self.value_rates = {}
         self.frontier = {}  # page -> discovery time
-        self.crawled = set()
-        self.queue = []  # pages in order of first discovery (bfs)
+        self.queue = []  # pages in discovery order (bfs)
         self.order = list(self.sources)
         random.Random(BFS_SEED).shuffle(self.order)
         self.cursor = 0
 
     def observe_page(self, page, discovered):
-        if page not in self.crawled and page not in self.frontier:
-            self.frontier[page] = discovered
-            self.queue.append(page)
+        self.frontier[page] = discovered
+        self.queue.append(page)
 
     def observe_source_crawled(self, source, time):
         self.last_crawl[source] = time
@@ -56,7 +54,6 @@ class Reference:
 
     def observe_page_crawled(self, page):
         del self.frontier[page]
-        self.crawled.add(page)
 
     def decide(self, now, slot):
         newest = max(self.frontier, key=lambda p: (self.frontier[p], -p), default=None)
@@ -116,10 +113,9 @@ def test_decisions_match_reference(name, data):
             now += data.draw(st.sampled_from(TIME_STEPS))
         elif operation == "crawl":
             crawl_source(data.draw(source))
-        elif operation == "page":  # a new page, or one already seen or crawled
-            page = data.draw(st.integers(0, next_page))
-            observe_page(page, data.draw(source))
-            next_page = max(next_page, page + 1)
+        elif operation == "page":  # the loop reveals each page once
+            observe_page(next_page, data.draw(source))
+            next_page += 1
         elif operation == "schedule":
             new_schedule()
         elif operation == "values":
