@@ -160,9 +160,8 @@ def cmd_generate(args) -> int:
 def cmd_run(args) -> int:
     config = _experiment(args)
     outdir = Path(config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    if args.scenario is not None:
-        scenario = fileio.read_scenario(args.scenario)
+    scenario = None if args.scenario is None else fileio.read_scenario(args.scenario)
+    if scenario is not None:
         expected = fileio.scenario_fingerprint(config.scenario)
         got = fileio.scenario_fingerprint(scenario.config)
         if got != expected:
@@ -170,6 +169,8 @@ def cmd_run(args) -> int:
                 f"scenario file {args.scenario} (fingerprint {got}) does not match "
                 f"the config's scenario ({expected})"
             )
+    outdir.mkdir(parents=True, exist_ok=True)
+    if scenario is not None:
         seeds = (scenario.config.seed,)
         batches = [_execute_seed(scenario, config, scenario.config.seed, outdir)]
     else:

@@ -6,15 +6,29 @@ Every tabular file starts with a one-line versioned header,
 
 followed by a CSV column header and data rows.  ``_COLUMNS`` declares each
 kind's columns once, in file order: name, type (int, float, text, yes/no
-bool, or a ';'-separated float list) and whether a cell may be blank.  One
-codec works from it.  Readers check kind and version before touching rows,
-parse every cell by its column's type, and report a malformed cell with its
-line number and column; a blank cell reads as None where its column may be
-blank.  Writers format every cell by its column's type, a None as a blank
-cell, and floats with repr() so values survive a round trip bit for bit and
-identical inputs produce identical bytes.  ``read_params`` hands its cells
-to the solver as columns, in one ``core.SourceTable``; the first row that
-breaks SourceParams's rules or repeats an id is reported at its line.
+bool, or a ';'-separated float list) and whether a cell may be blank.
+Readers and writers work from it.  Writers format every cell by its
+column's type, a None as a blank cell, and floats with repr() so values
+survive a round trip bit for bit and identical inputs produce identical
+bytes.  A text cell may hold no space, comma, quote or unprintable
+character, on reading as on writing, so a row is its cells joined by
+commas and no cell needs CSV quoting.
+
+Readers check kind and version first.  The row codec then parses each
+row's cells by their columns' types and reports a malformed cell, or a row
+that fails a check, with its line number and column; a blank cell reads as
+None where its column may be blank.  The offline inputs (click logs,
+params, schedules, host snapshots, link corpora) are read as whole columns
+first: numpy's C parser reads the number columns, the column's own parser
+the other cells, and each check runs over whole columns.  Where the C
+parser reads a cell it reads what int() or float() reads, but it refuses
+more: a quoted cell, a short or long row, ``1_0``, a non-ASCII digit, an
+int past 64 bits, a file with no rows.  A file it refuses, or one that
+fails a check, is read again by the row codec, which returns what it holds
+or reports where it is wrong.  So both readers accept the same files and
+return the same values, and every error is the row codec's.
+``read_params`` hands its cells to the solver as columns, in one
+``core.SourceTable``.
 
 Configs are YAML mappings.  ``parse_experiment_config`` turns one into an
 ExperimentConfig: a scenario, the settings every run shares, and a (policy
@@ -30,12 +44,14 @@ import csv
 import hashlib
 import inspect
 import os
+import warnings
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence, get_args, get_type_hints
 
+import numpy as np
 import yaml
 
 from .core import (
@@ -98,8 +114,11 @@ def _real(value) -> str:
 
 
 def _text(value: str) -> str:
-    if " " in value or "," in value or not value.isprintable():
-        raise ValueError(f"header/cell value may not contain spaces or commas: {value!r}")
+    if " " in value or "," in value or '"' in value or not value.isprintable():
+        raise ValueError(
+            f"header/cell value may not contain spaces or commas, quotes or unprintable"
+            f" characters: {value!r}"
+        )
     return value
 
 
@@ -109,16 +128,18 @@ def _yes_no(cell: str) -> bool:
     return cell == "yes"
 
 
-# type name -> (parser, formatter, what a cell the parser rejects is not)
+# type name -> (parser, formatter, what a cell the parser rejects is not,
+# the dtype the C parse reads a column of it as)
 _TYPES = {
-    "int": (int, str, "not an integer"),
-    "float": (float, _real, "not a number"),
-    "str": (str, _text, "not text"),
-    "bool": (_yes_no, lambda flag: "yes" if flag else "no", "not yes or no"),
+    "int": (int, str, "not an integer", np.int64),
+    "float": (float, _real, "not a number", np.float64),
+    "str": (_text, _text, "not text", object),
+    "bool": (_yes_no, lambda flag: "yes" if flag else "no", "not yes or no", object),
     "floats": (
         lambda cell: tuple(float(t) for t in cell.split(";") if t),
         lambda values: ";".join(map(_real, values)),
         "not a number",
+        object,
     ),
 }
 
@@ -130,6 +151,7 @@ class _Table(NamedTuple):
     parsers: "tuple[Callable[[str], Any], ...]"  # per column, for a nonblank cell
     blanks: "tuple[bool, ...]"  # per column: a blank cell is allowed, as None
     errors: "tuple[str, ...]"  # per column: what a cell its parser rejects is not
+    dtypes: "tuple[np.dtype, ...]"  # what the C parse tries in turn (see _Rows.columns)
     parse_row: "Callable[[Sequence[str]], tuple]"
     format_row: "Callable[[Sequence], tuple]"
     least: int  # fewest cells a row may have; missing trailing cells are blank
@@ -155,10 +177,15 @@ def _compile(functions, blanks, cell: str, blank: str) -> "Callable[[Sequence], 
 
 def _table(spec: str, least: "int | None" = None) -> _Table:
     """Columns from ``name:type`` words; a type ending in '?' may be blank."""
-    names, blanks, parsers, formats, errors = zip(*map(_column, spec.split()))
+    names, blanks, parsers, formats, errors, kinds = zip(*map(_column, spec.split()))
     parse_row = _compile(parsers, blanks, "{f}({x})", "({f}({x}) if {x} else None)")
     format_row = _compile(formats, blanks, "{f}({x})", '("" if {x} is None else {f}({x}))')
-    return _Table(names, parsers, blanks, errors, parse_row, format_row, least or len(names))
+    numbers = np.dtype(list(zip(names, kinds)))
+    texts = np.dtype([(n, object if b else k) for n, b, k in zip(names, blanks, kinds)])
+    dtypes = (numbers,) if texts == numbers else (numbers, texts)
+    return _Table(
+        names, parsers, blanks, errors, dtypes, parse_row, format_row, least or len(names)
+    )
 
 
 _COLUMNS = {
@@ -196,7 +223,7 @@ _COLUMNS = {
 
 
 # ---------------------------------------------------------------------------
-# the row codec
+# writing and reading tables
 
 
 def _fmt(value) -> str:
@@ -207,30 +234,46 @@ def _fmt(value) -> str:
 
 
 def write_table(path, kind: str, meta: Mapping[str, object], rows: Iterable[Sequence]) -> None:
-    """Write one versioned CSV table; parents are created as needed."""
+    """Write one versioned CSV table; parents are created as needed.
+
+    No formatted cell holds a comma, a quote or a line break, so each row is
+    its cells joined by commas, as csv.writer would write it."""
     table = _COLUMNS[kind]
     format_row, n = table.format_row, len(table.names)
     pairs = "".join(f" {k}={_fmt(v)}" for k, v in meta.items())
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# {_PREFIX}-{kind}-v{FORMAT_VERSION}{pairs}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(table.names)
+
+    def lines():
         for row in rows:
             if len(row) != n:
                 raise ValueError(f"{kind} row has {len(row)} cells, expected {n}: {row!r}")
-            writer.writerow(format_row(row))
+            yield ",".join(format_row(row)) + "\n"
+
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# {_PREFIX}-{kind}-v{FORMAT_VERSION}{pairs}\n{','.join(table.names)}\n")
+        fh.writelines(lines())
+
+
+class _Refused(Exception):
+    """The C parse or a vectorised check turned a table down; the row codec
+    reads it again and returns what it holds or reports where it is wrong."""
+
+
+def _vouch(ok) -> None:
+    if not ok:
+        raise _Refused
 
 
 class _Rows:
-    """Reader of one versioned CSV table: checks the tag and column lines,
-    then yields each data row as a tuple of parsed cells."""
+    """Reader of one versioned CSV table.  Entering checks the tag and column
+    lines; ``columns()`` then reads the body as whole columns, and iterating
+    reads it as rows of parsed cells, from its first row each time."""
 
     def __init__(self, path, kind: str):
         self.path = Path(path)
         self.kind = kind
-        self.columns = _COLUMNS[kind]
+        self.table = _COLUMNS[kind]
 
     def __enter__(self) -> "_Rows":
         self._fh = self.path.open("r", encoding="utf-8", newline="")
@@ -239,7 +282,7 @@ class _Rows:
         except BaseException:  # the caller's with-block never runs: close here
             self._fh.close()
             raise
-        self._reader = csv.reader(self._fh)
+        self._body = self._fh.tell()
         return self
 
     def _read_header(self) -> None:
@@ -256,7 +299,7 @@ class _Rows:
                 raise FileFormatError(self.path, 1, f"malformed header field {part!r}")
             self.meta[key] = value
         columns = self._fh.readline().rstrip("\n")
-        expected = self.columns.names
+        expected = self.table.names
         got = tuple(columns.split(","))
         if got[: len(expected)] != expected and got != expected[: len(got)]:
             raise FileFormatError(
@@ -266,9 +309,47 @@ class _Rows:
     def __exit__(self, *exc) -> None:
         self._fh.close()
 
+    def columns(self) -> list:
+        """The body as whole columns, or _Refused.
+
+        The C parse reads every column of numbers as an int64 or float64
+        array; where one that may be blank has a blank cell, it reads the
+        body again with that column's cells as text.  Any other column is
+        read as its cells' text and parsed by the column's parser.  A column
+        that may be blank comes back as a list, with None for a blank cell.
+        Where the C parse reads a cell at all, it reads what int() or
+        float() reads; it refuses more than they do (a quoted cell, a short
+        or long row, ``1_0``, a non-ASCII digit, an int past 64 bits, a body
+        with no rows), and a refusal raises _Refused."""
+        table = self.table
+        for dtype in table.dtypes:
+            self._fh.seek(self._body)
+            try:
+                with warnings.catch_warnings():
+                    # an empty body warns, and numpy < 2 reads "3.0" into an
+                    # int column with a DeprecationWarning
+                    warnings.simplefilter("error")
+                    cells = np.loadtxt(
+                        self._fh, dtype=dtype, delimiter=",", comments=None, ndmin=1
+                    )
+                break
+            except (ValueError, Warning):
+                continue
+        else:
+            raise _Refused
+        try:
+            return [
+                _values(cells[name], parse, blank)
+                for name, parse, blank in zip(table.names, table.parsers, table.blanks)
+            ]
+        except ValueError:
+            raise _Refused from None
+
     def __iter__(self):
-        parse_row, least = self.columns.parse_row, self.columns.least
-        most = len(self.columns.names)
+        self._fh.seek(self._body)
+        self._reader = csv.reader(self._fh)
+        parse_row, least = self.table.parse_row, self.table.least
+        most = len(self.table.names)
         for row in self._reader:
             if len(row) != most:
                 if not row:
@@ -285,7 +366,7 @@ class _Rows:
 
     def _bad_cell(self, row: "list[str]") -> FileFormatError:
         """The error for the first cell of ``row`` that its column rejects."""
-        columns = self.columns
+        columns = self.table
         for name, parse, blank, error, cell in zip(
             columns.names, columns.parsers, columns.blanks, columns.errors, row
         ):
@@ -300,7 +381,7 @@ class _Rows:
         """Fail on the first of the named cells that is blank in ``row``,
         for a column the row's own kind of record may not leave blank."""
         if None in row:
-            for name, error, cell in zip(self.columns.names, self.columns.errors, row):
+            for name, error, cell in zip(self.table.names, self.table.errors, row):
                 if cell is None and name in names:
                     raise self.fail(f"column {name}: {error}: ''")
 
@@ -314,6 +395,25 @@ class _Rows:
             return make(*args)
         except ValueError as exc:
             raise self.fail(str(exc)) from None
+
+
+def _values(cells: np.ndarray, parse: Callable[[str], Any], blank: bool):
+    """One column of the C parse, as _Rows.columns returns it."""
+    if cells.dtype != object:
+        return cells.tolist() if blank else cells
+    cells = cells.tolist()
+    if not blank or "" not in cells:
+        return list(map(parse, cells))
+    return [parse(cell) if cell else None for cell in cells]
+
+
+def _read(path, kind: str, by_columns: Callable[[_Rows], Any], by_rows: Callable[[_Rows], Any]):
+    """``by_columns(table)``, or ``by_rows(table)`` where it raises _Refused."""
+    with _Rows(path, kind) as table:
+        try:
+            return by_columns(table)
+        except _Refused:
+            return by_rows(table)
 
 
 # ---------------------------------------------------------------------------
@@ -448,20 +548,35 @@ class ClickLog:
 
 
 def read_click_log(path) -> ClickLog:
+    return _read(path, "clicks", _click_log_by_columns, _click_log_by_rows)
+
+
+def _click_log_by_columns(table: _Rows) -> ClickLog:
+    pid, sid, created, times = table.columns()
+    # every row of a page names the same source and creation time
+    order = np.argsort(pid, kind="stable")
+    p, s, c = pid[order], sid[order], created[order]
+    _vouch(((p[1:] != p[:-1]) | (s[1:] == s[:-1]) & (c[1:] == c[:-1])).all())
+    clicked = np.array([t is not None for t in times], dtype=bool)
+    clicks = np.array([t for t in times if t is not None], dtype=np.float64)
+    _vouch(not (clicks < created[clicked]).any())
+    pages = dict(zip(pid.tolist(), zip(sid.tolist(), created.tolist())))
+    return ClickLog(pages, tuple(zip(pid[clicked].tolist(), clicks.tolist())), dict(table.meta))
+
+
+def _click_log_by_rows(table: _Rows) -> ClickLog:
     pages: "dict[PageId, tuple[SourceId, Seconds]]" = {}
     clicks: "list[tuple[PageId, Seconds]]" = []
-    with _Rows(path, "clicks") as table:
-        meta = dict(table.meta)
-        for pid, sid, created, t in table:
-            known = pages.get(pid)
-            if known is not None and known != (sid, created):
-                raise table.fail(f"page {pid} re-declared with different source/created")
-            pages[pid] = (sid, created)
-            if t is not None:
-                if t < created:
-                    raise table.fail(f"click at {t} precedes page creation {created}")
-                clicks.append((pid, t))
-    return ClickLog(pages, tuple(clicks), meta)
+    for pid, sid, created, t in table:
+        known = pages.get(pid)
+        if known is not None and known != (sid, created):
+            raise table.fail(f"page {pid} re-declared with different source/created")
+        pages[pid] = (sid, created)
+        if t is not None:
+            if t < created:
+                raise table.fail(f"click at {t} precedes page creation {created}")
+            clicks.append((pid, t))
+    return ClickLog(pages, tuple(clicks), dict(table.meta))
 
 
 # ---------------------------------------------------------------------------
@@ -570,21 +685,30 @@ def write_params(path, rows: Iterable[ParamsRow], meta: Mapping[str, object] = (
 def read_params(path) -> "tuple[SourceTable, dict[str, str]]":
     """The sources of a params file as one SourceTable, and its header.
 
-    The cells go straight into columns.  The first row that breaks
-    SourceParams's rules or repeats an id is reported at its line."""
-    with _Rows(path, "params") as table:
-        meta = dict(table.meta)
-        rows = list(table)
+    The first row that breaks SourceParams's rules or repeats an id is
+    reported at its line."""
+    return _read(path, "params", _params_by_columns, _params_by_rows)
+
+
+def _params_by_columns(table: _Rows) -> "tuple[SourceTable, dict[str, str]]":
+    ids, lam, profit, decay, *_ = table.columns()
+    try:
+        return SourceTable(ids, lam, profit, decay), dict(table.meta)
+    except SourceRowError:
+        raise _Refused from None
+
+
+def _params_by_rows(table: _Rows) -> "tuple[SourceTable, dict[str, str]]":
+    rows = list(table)
     if not rows:
-        raise FileFormatError(path, 2, "params file has no sources")
+        raise FileFormatError(table.path, 2, "params file has no sources")
     ids, lam, profit, decay = ([row[i] for row in rows] for i in range(4))
     try:
-        return SourceTable(ids, lam, profit, decay), meta
+        return SourceTable(ids, lam, profit, decay), dict(table.meta)
     except SourceRowError as exc:
-        with _Rows(path, "params") as table:
-            for _ in zip(range(exc.row + 1), table):
-                pass
-            raise table.fail(str(exc)) from None
+        for _ in zip(range(exc.row + 1), table):
+            pass
+        raise table.fail(str(exc)) from None
 
 
 def write_schedule(path, schedule: Schedule, epsilon: float) -> None:
@@ -599,16 +723,26 @@ def write_schedule(path, schedule: Schedule, epsilon: float) -> None:
 
 
 def read_schedule(path) -> "tuple[dict[SourceId, float], dict[str, str]]":
+    return _read(path, "schedule", _schedule_by_columns, _schedule_by_rows)
+
+
+def _schedule_by_columns(table: _Rows) -> "tuple[dict[SourceId, float], dict[str, str]]":
+    sid, interval = table.columns()
+    _vouch((interval > 0).all())
+    intervals = dict(zip(sid.tolist(), interval.tolist()))
+    _vouch(len(intervals) == len(sid))
+    return intervals, dict(table.meta)
+
+
+def _schedule_by_rows(table: _Rows) -> "tuple[dict[SourceId, float], dict[str, str]]":
     intervals: "dict[SourceId, float]" = {}
-    with _Rows(path, "schedule") as table:
-        meta = dict(table.meta)
-        for sid, interval in table:
-            if sid in intervals:
-                raise table.fail(f"duplicate source id {sid}")
-            if not interval > 0:
-                raise table.fail(f"interval must be > 0, got {interval}")
-            intervals[sid] = interval
-    return intervals, meta
+    for sid, interval in table:
+        if sid in intervals:
+            raise table.fail(f"duplicate source id {sid}")
+        if not interval > 0:
+            raise table.fail(f"interval must be > 0, got {interval}")
+        intervals[sid] = interval
+    return intervals, dict(table.meta)
 
 
 # ---------------------------------------------------------------------------
@@ -627,15 +761,39 @@ def write_snapshots(path, snapshots: Sequence[HostSnapshot]) -> None:
 
 
 def read_snapshots(path) -> "list[HostSnapshot]":
+    return _read(path, "snapshots", _snapshots_by_columns, _snapshots_by_rows)
+
+
+def _snapshots_by_columns(table: _Rows) -> "list[HostSnapshot]":
+    host, main, pids, ages = table.columns()
+    if None in pids or None in ages:
+        # a host without links has one row, with both cells blank
+        _vouch(all((pid is None) == (age is None) for pid, age in zip(pids, ages)))
+    # one snapshot per run of rows of one (host, main page); a pair that
+    # comes back after another is left to the row codec
+    starts = np.flatnonzero((host[1:] != host[:-1]) | (main[1:] != main[:-1])) + 1
+    ends = [*starts.tolist(), len(host)]
+    starts = [0, *starts.tolist()]
+    keys = list(zip(host[starts].tolist(), main[starts].tolist()))
+    _vouch(len(set(keys)) == len(keys))
+    try:
+        return [
+            HostSnapshot(*key, [link for link in zip(pids[i:j], ages[i:j]) if link[0] is not None])
+            for key, i, j in zip(keys, starts, ends)
+        ]
+    except ValueError:
+        raise _Refused from None
+
+
+def _snapshots_by_rows(table: _Rows) -> "list[HostSnapshot]":
     grouped: "dict[tuple[int, int], list[tuple[int, float]]]" = defaultdict(list)
-    with _Rows(path, "snapshots") as table:
-        for row in table:
-            host, main, pid, age = row
-            pages = grouped[host, main]
-            if pid is not None:
-                table.require(row, "age_s")
-                pages.append((pid, age))
-        return table.build(lambda: [HostSnapshot(*key, pages) for key, pages in grouped.items()])
+    for row in table:
+        host, main, pid, age = row
+        pages = grouped[host, main]
+        if pid is not None:
+            table.require(row, "age_s")
+            pages.append((pid, age))
+    return table.build(lambda: [HostSnapshot(*key, pages) for key, pages in grouped.items()])
 
 
 def write_corpus(path, corpus: LinkCorpus) -> None:
@@ -643,8 +801,19 @@ def write_corpus(path, corpus: LinkCorpus) -> None:
 
 
 def read_corpus(path) -> LinkCorpus:
-    with _Rows(path, "corpus") as table:
-        return table.build(LinkCorpus, list(table))
+    return _read(path, "corpus", _corpus_by_columns, _corpus_by_rows)
+
+
+def _corpus_by_columns(table: _Rows) -> LinkCorpus:
+    source, page, time = table.columns()
+    try:
+        return LinkCorpus(zip(source.tolist(), page.tolist(), time.tolist()))
+    except ValueError:
+        raise _Refused from None
+
+
+def _corpus_by_rows(table: _Rows) -> LinkCorpus:
+    return table.build(LinkCorpus, list(table))
 
 
 def write_cover(

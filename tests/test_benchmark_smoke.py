@@ -1,11 +1,12 @@
-"""Smoke test of the benchmark's traced crawl-preset run.
+"""Smoke tests of the benchmark's traced crawl-preset and offline-batch runs.
 
 The traced run wraps the program's names from outside: it subclasses
 EstimatorState's record_crawl and push_logs, wraps params_snapshot,
-value_rates and the solver, and reads each snapshot with dict().  A change
-to those names, or to what they take and return, breaks the benchmark
-before any benchmark timing shows it; this test shows it in the test suite.
-The run takes about 10 s.
+value_rates and the solver, and reads each snapshot with dict().  On the
+offline path it wraps fileio's readers and writers by name, each with the
+file's path as its first argument.  A change to those names, or to what they
+take and return, breaks the benchmark before any benchmark timing shows it;
+these tests show it in the test suite.  Each run takes 10 to 20 s.
 """
 
 import json
@@ -25,16 +26,35 @@ EXERCISED = (
     "policies.productive_recrawl_ratio",
 )
 
+# The file traffic, solves and cover picks of the offline-batch round.
+EXERCISED_OFFLINE = (
+    "fileio.read.bytes",
+    "fileio.write.bytes",
+    "optimizer.solve.calls",
+    "discovery.cover.picks",
+)
 
-def test_traced_crawl_preset_round_is_correct_and_counted():
+
+def traced_round(workload: str) -> "dict[str, float]":
+    """The metrics of a traced round of ``workload`` on seed 1, which must
+    check correct with no failed operation."""
     command = [
         sys.executable, str(ROOT / "benchmark" / "run.py"),
-        "--workload", "crawl-preset", "--seed", "1", "--seconds", "0", "--trace", "1",
+        "--workload", workload, "--seed", "1", "--seconds", "0", "--trace", "1",
     ]
     done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr[-4000:]
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, done.stderr[-4000:]
     assert result["failed"] == 0
-    metrics = {name: metric["value"] for name, metric in result["metrics"].items()}
+    return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def test_traced_crawl_preset_round_is_correct_and_counted():
+    metrics = traced_round("crawl-preset")
     assert {name: metrics[name] for name in EXERCISED if not metrics[name] > 0} == {}
+
+
+def test_traced_offline_batch_round_is_correct_and_counted():
+    metrics = traced_round("offline-batch")
+    assert {name: metrics[name] for name in EXERCISED_OFFLINE if not metrics[name] > 0} == {}

@@ -798,7 +798,7 @@ class TestRunAndReportCommands:
             r"does not match the config's scenario \([0-9a-f]{12}\)"
         )
         assert re.search(message, capsys.readouterr().err)
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     def test_duplicate_seeds_exit_2(self, grid, tmp_path, capsys):
         report = str(grid / "out" / "bfs_b0.02_s0.report.csv")
@@ -807,6 +807,16 @@ class TestRunAndReportCommands:
         message = "config error: duplicate seeds for policy=bfs budget=0.02: "
         assert message in capsys.readouterr().err
         assert not (tmp_path / "summary.csv").exists()
+
+    def test_quoted_policy_with_a_space_exits_4(self, grid, tmp_path, capsys):
+        tag, columns, row = (grid / "out" / "bfs_b0.02_s0.report.csv").read_text().splitlines()
+        path = tmp_path / "x.report.csv"
+        path.write_text(f'{tag}\n{columns}\n"my policy",{row.split(",", 1)[1]}\n')
+        out = tmp_path / "rep"
+        assert cli.main(["report", str(path), "--out", str(out), "--quiet"]) == cli.EXIT_IO
+        message = "x.report.csv:3: column policy: not text: 'my policy'"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_report_prints_its_table_unless_quiet(self, grid, tmp_path, capsys):
         reports = sorted(str(p) for p in (grid / "out").glob("*.report.csv"))

@@ -2,13 +2,17 @@
 bit for bit through its writer, rewriting what was read gives the same bytes,
 and a malformed cell is reported with its line and column."""
 
+import csv
+import dataclasses
 import gc
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from echocrawl import fileio
-from echocrawl.core import CrawlPage, CrawlRecord, RecrawlSource, SourceParams
+from echocrawl.core import CrawlPage, CrawlRecord, RecrawlSource, SourceParams, SourceTable
 from echocrawl.discovery import HostSnapshot, LinkCorpus
 from echocrawl.optimizer import Schedule
 from echocrawl.simulator import (
@@ -410,6 +414,20 @@ class TestInputChecks:
             fileio.read_report(path)
         assert str(err.value).endswith(f"r.csv:{line}: expected 1 data row, got {n}")
 
+    def test_report_text_cell_read_by_the_writers_rule(self, tmp_path):
+        path = tmp_path / "r.csv"
+        fileio.write_table(path, "report", {}, [REPORT_ROW])
+        tag, columns, row = path.read_text().splitlines()
+        path.write_text(f'{tag}\n{columns}\n"my policy",{row.split(",", 1)[1]}\n')
+        with pytest.raises(fileio.FileFormatError) as err:
+            fileio.read_report(path)
+        assert str(err.value).endswith("r.csv:3: column policy: not text: 'my policy'")
+
+    @pytest.mark.parametrize("policy", ['my"policy', "my policy", "my,policy", "my\tpolicy"])
+    def test_report_text_cell_the_writer_rejects(self, tmp_path, policy):
+        with pytest.raises(ValueError, match="may not contain spaces or commas"):
+            fileio.write_table(tmp_path / "r.csv", "report", {}, [(policy, *REPORT_ROW[1:])])
+
     def test_params_without_sources(self, tmp_path):
         path = table_file(tmp_path / "p.csv", "params")
         with pytest.raises(fileio.FileFormatError) as err:
@@ -444,3 +462,262 @@ class TestInputChecks:
             fileio.load_yaml_mapping(path)
         assert str(err.value).startswith(f"{path}")
         assert message in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# the column reader against the row codec
+
+# kind -> (public reader, column reader, row reader)
+OFFLINE = {
+    "clicks": (fileio.read_click_log, fileio._click_log_by_columns, fileio._click_log_by_rows),
+    "params": (fileio.read_params, fileio._params_by_columns, fileio._params_by_rows),
+    "schedule": (fileio.read_schedule, fileio._schedule_by_columns, fileio._schedule_by_rows),
+    "snapshots": (fileio.read_snapshots, fileio._snapshots_by_columns, fileio._snapshots_by_rows),
+    "corpus": (fileio.read_corpus, fileio._corpus_by_columns, fileio._corpus_by_rows),
+}
+
+
+def exact(value):
+    """``value`` as nested tuples that are equal only where every type and
+    every float's bits are."""
+    if isinstance(value, float):
+        return ("float", struct.pack("<d", value))
+    if isinstance(value, np.ndarray):
+        return ("ndarray", value.dtype.str, exact(value.tolist()))
+    if isinstance(value, SourceTable):
+        names = ("ids", "lambda_rate", "profit", "decay")
+    elif dataclasses.is_dataclass(value):
+        names = [f.name for f in dataclasses.fields(value)]
+    else:
+        names = None
+    if names is not None:
+        return (type(value).__name__, *(exact(getattr(value, name)) for name in names))
+    if isinstance(value, dict):
+        return ("dict", tuple((exact(k), exact(v)) for k, v in value.items()))
+    if isinstance(value, (tuple, list)):
+        return (type(value).__name__, tuple(map(exact, value)))
+    assert value is None or type(value) in (bool, int, str), type(value)
+    return (type(value).__name__, value)
+
+
+def outcome(read, path):
+    """What ``read(path)`` returns, exactly, or the type and text of what it raises."""
+    try:
+        return exact(read(path))
+    except Exception as exc:  # noqa: BLE001 - both readers must fail alike
+        return (type(exc).__name__, str(exc))
+
+
+def by(reader, kind):
+    def read(path):
+        with fileio._Rows(path, kind) as table:
+            return reader(table)
+
+    return read
+
+
+@st.composite
+def offline_tables(draw, kind):
+    """What the writer of ``kind`` writes a table from."""
+    if kind == "clicks":
+        value = draw(scenarios())
+    elif kind == "params":
+        value = draw(
+            st.lists(
+                st.builds(
+                    fileio.ParamsRow,
+                    ids,
+                    st.builds(SourceParams, reals, reals, positive),
+                    st.none() | counts,
+                    st.none() | counts,
+                    st.none() | st.booleans(),
+                ),
+                min_size=1,
+                max_size=8,
+                unique_by=lambda row: row.source_id,
+            )
+        )
+    elif kind == "schedule":
+        value = Schedule(
+            draw(st.dictionaries(ids, positive | st.just(float("inf")), max_size=8)), 0.5, 1.0, 0.0
+        )
+    elif kind == "snapshots":
+        keys = draw(st.lists(st.tuples(ids, ids), unique=True, max_size=5))
+        links = draw(
+            st.lists(st.lists(st.tuples(ids, reals), max_size=4, unique_by=lambda p: p[0]))
+        )
+        value = [
+            HostSnapshot(host, main, [(pid, age) for pid, age in pages if pid != main])
+            for (host, main), pages in zip(keys, links + [[]] * len(keys))
+        ]
+    else:
+        value = LinkCorpus(
+            draw(st.lists(st.tuples(ids, ids, reals), max_size=8, unique_by=lambda l: l[:2]))
+        )
+    return value
+
+
+WRITERS = {
+    "clicks": fileio.write_click_log,
+    "params": lambda path, rows: fileio.write_params(path, rows, {"t_push": 1.5}),
+    "schedule": lambda path, schedule: fileio.write_schedule(path, schedule, 1e-6),
+    "snapshots": fileio.write_snapshots,
+    "corpus": fileio.write_corpus,
+}
+
+# cells the C parse refuses or reads otherwise, and values the checks refuse
+ODD_CELLS = [
+    "3.0", "1_0", "1_0.5", "５", "１.5", str(2**70), str(2**63), str(-(2**63)), "",
+    " 7 ", "\t2.5", '"7"', '"2.5"', '""', "+7", "007", "-1", "0", "-0.0", "nan", "inf", "-inf",
+    "1e400", "x", "yes", "no", "maybe", "٣",
+]
+cells = st.sampled_from(ODD_CELLS) | st.text(alphabet='0123456789.-+e_ "５x', max_size=5)
+
+
+@st.composite
+def mutated(draw, lines):
+    """``lines`` (tag, columns, rows) with a few cells, rows or line ends changed."""
+    tag, columns, *rows = lines
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        how = draw(
+            st.sampled_from(("cell", "cell", "clear", "swap", "short", "repeat", "move", "line"))
+        )
+        if not rows:
+            rows.append(draw(cells))
+            continue
+        i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        row = rows[i].split(",")
+        if how in ("cell", "clear"):
+            cell = draw(cells) if how == "cell" else ""
+            row[draw(st.integers(min_value=0, max_value=len(row) - 1))] = cell
+            rows[i] = ",".join(row)
+        elif how == "swap":  # one column's cells of two rows
+            k = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+            other = rows[k].split(",")
+            j = draw(st.integers(min_value=0, max_value=min(len(row), len(other)) - 1))
+            row[j], other[j] = other[j], row[j]
+            rows[i], rows[k] = ",".join(row), ",".join(other)
+        elif how == "short":
+            rows[i] = ",".join(row[: draw(st.integers(min_value=1, max_value=len(row)))])
+        elif how == "repeat":
+            rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), rows[i])
+        elif how == "move":
+            rows.append(rows.pop(i))
+        else:
+            rows.insert(i, "")
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    return f"{tag}\n{columns}\n" + "".join(row + end for row in rows)
+
+
+class TestColumnReader:
+    """The column reader returns what the row codec returns, bit for bit and
+    type for type, or the row codec reports the file."""
+
+    @pytest.mark.parametrize("kind", OFFLINE)
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_reads_what_the_rows_read(self, tmp_path_factory, kind, data):
+        """Tables as written, then with odd cells, short, repeated or moved
+        rows, blank lines and CRLF line ends."""
+        read, by_columns, by_rows = OFFLINE[kind]
+        path = tmp_path_factory.mktemp("col") / f"{kind}.csv"
+        WRITERS[kind](path, data.draw(offline_tables(kind)))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        if lines[2:]:  # a table as written is read by the columns alone
+            assert outcome(by(by_columns, kind), path) == outcome(by(by_rows, kind), path)
+        text = data.draw(mutated(lines))
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(read, path) == outcome(by(by_rows, kind), path)
+
+    @pytest.mark.parametrize("kind", OFFLINE)
+    def test_header_only(self, tmp_path, kind):
+        read, by_columns, by_rows = OFFLINE[kind]
+        path = tmp_path / f"{kind}.csv"
+        fileio.write_table(path, kind, {}, [])
+        with fileio._Rows(path, kind) as table, pytest.raises(fileio._Refused):
+            by_columns(table)
+        assert outcome(read, path) == outcome(by(by_rows, kind), path)
+
+    @pytest.mark.parametrize(
+        "kind, body, message",
+        [
+            ("schedule", "0,5.0\n\n\n0,6.0\n", "bad.csv:6: duplicate source id 0"),
+            ("schedule", "0,5.0\r\n\r\n1,0.0\r\n", "bad.csv:5: interval must be > 0, got 0.0"),
+            (
+                "clicks",
+                "0,0,1.0,\n\n0,0,1.0,0.5\n",
+                "bad.csv:5: click at 0.5 precedes page creation 1.0",
+            ),
+            (
+                "clicks",
+                "0,0,1.0,2.0\n\n0,1,1.0,3.0\n",
+                "bad.csv:5: page 0 re-declared with different source/created",
+            ),
+            ("snapshots", "0,1,2,5.0\n\n0,1,3,\n", "bad.csv:5: column age_s: not a number: ''"),
+            (
+                "params",
+                "0,0.5,1.0,0.001,,,\n\n1_0,0.5,1.0,0.001,3.0,,\n",
+                "bad.csv:5: column pages: not an integer: '3.0'",
+            ),
+        ],
+    )
+    def test_blank_lines_keep_error_lines(self, tmp_path, kind, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# echocrawl-{kind}-v1\n{','.join(fileio._COLUMNS[kind].names)}\n{body}")
+        with pytest.raises(fileio.FileFormatError) as err:
+            OFFLINE[kind][0](path)
+        assert str(err.value).endswith(message)
+
+    def test_host_rows_apart_make_one_snapshot(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text(
+            "# echocrawl-snapshots-v1\nhost,main_page_id,page_id,age_s\n"
+            "0,1,2,5.0\n3,4,5,1.0\n0,1,6,2.0\n"
+        )
+        assert fileio.read_snapshots(path) == [
+            HostSnapshot(0, 1, [(2, 5.0), (6, 2.0)]),
+            HostSnapshot(3, 4, [(5, 1.0)]),
+        ]
+
+
+# each type's parser -> its name
+TYPE_NAMES = {parse: name for name, (parse, *_) in fileio._TYPES.items()}
+VALUES = {
+    "int": st.integers(),
+    "float": st.floats(),
+    "str": st.text(st.characters(codec="utf-8"), max_size=6).filter(
+        lambda s: not {" ", ",", '"'} & set(s) and s.isprintable()
+    ),
+    "bool": st.booleans(),
+    "floats": st.lists(st.floats(), max_size=3).map(tuple),
+}
+
+
+def csv_writer_bytes(path, kind, rows):
+    """The bytes ``write_table`` wrote through csv.writer."""
+    table = fileio._COLUMNS[kind]
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# echocrawl-{kind}-v1 seed=1\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(table.names)
+        for row in rows:
+            writer.writerow(table.format_row(row))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", fileio._COLUMNS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_write_table_writes_what_csv_writer_wrote(tmp_path_factory, kind, data):
+    table = fileio._COLUMNS[kind]
+    row = st.tuples(
+        *(
+            st.none() | VALUES[TYPE_NAMES[parse]] if blank else VALUES[TYPE_NAMES[parse]]
+            for parse, blank in zip(table.parsers, table.blanks)
+        )
+    )
+    rows = data.draw(st.lists(row, max_size=5))
+    directory = tmp_path_factory.mktemp("w")
+    fileio.write_table(directory / "new.csv", kind, {"seed": 1}, rows)
+    written = (directory / "new.csv").read_bytes()
+    assert written == csv_writer_bytes(directory / "old.csv", kind, rows)
