@@ -279,8 +279,10 @@ class _Rows:
         self._fh = self.path.open("r", encoding="utf-8", newline="")
         try:
             self._read_header()
-        except BaseException:  # the caller's with-block never runs: close here
+        except BaseException as exc:  # the caller's with-block never runs: close here
             self._fh.close()
+            if isinstance(exc, UnicodeDecodeError):
+                raise self._undecodable() from None
             raise
         self._body = self._fh.tell()
         return self
@@ -306,8 +308,24 @@ class _Rows:
                 self.path, 2, f"expected columns {','.join(expected)}, got {columns!r}"
             )
 
-    def __exit__(self, *exc) -> None:
+    def __exit__(self, kind, exc, traceback) -> None:
         self._fh.close()
+        if isinstance(exc, UnicodeDecodeError):
+            raise self._undecodable() from None
+
+    def _undecodable(self) -> FileFormatError:
+        """The error for a file that is not UTF-8 text, at its first line
+        that does not decode.  Only this error path reads the file as bytes;
+        a line break is never part of a multi-byte sequence, so lines decode
+        on their own."""
+        for number, line in enumerate(self.path.read_bytes().splitlines(), 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return FileFormatError(
+                    self.path, number, f"not UTF-8 text: byte {line[exc.start]:#04x}"
+                )
+        return FileFormatError(self.path, 0, "not UTF-8 text")  # changed after the read
 
     def columns(self) -> list:
         """The body as whole columns, or _Refused.

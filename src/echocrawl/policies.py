@@ -32,7 +32,12 @@ keep runs reproducible.
 Per-source state (last-crawl times, value rates, schedule intervals) lives
 in numpy arrays indexed by a source's position in the sorted source list,
 so a decision is a few array operations rather than a Python loop over
-every source, and argmax's first maximum is the lowest id.
+every source, and argmax's first maximum is the lowest id.  A policy builds
+one RecrawlSource per source when it is made and returns that same frozen
+object every time it recrawls the source, so a recrawl decision allocates
+nothing.  echo-greedy scans only the sources whose value rate is positive;
+when none of them has a positive score, every score is 0 and it falls back
+to the longest-unrecrawled source over all of them.
 """
 
 from __future__ import annotations
@@ -74,6 +79,8 @@ class CrawlPolicy:
             raise ValueError("policy needs at least one source")
         self.schedule: Schedule | None = None
         self._pos = {source: i for i, source in enumerate(self.sources)}
+        # the one recrawl decision of each source, by position
+        self._recrawl = tuple(RecrawlSource(source) for source in self.sources)
         # -inf for never crawled, so now - last is inf exactly there
         self._last = np.full(len(self.sources), -np.inf)
         # (-discovered, page) of every unfetched page: heap[0] is the
@@ -123,9 +130,10 @@ class CrawlPolicy:
             raise ValueError(f"{type(self).__name__} needs a schedule before deciding")
         return self.schedule
 
-    def _most_behind_source(self, now: Seconds, due_only: bool) -> SourceId | None:
-        """Source with the highest elapsed/interval ratio, skipping infinite
-        intervals; due_only restricts to sources with elapsed >= interval."""
+    def _most_behind_source(self, now: Seconds, due_only: bool) -> RecrawlSource | None:
+        """Recrawl of the source with the highest elapsed/interval ratio,
+        skipping infinite intervals; due_only restricts to sources with
+        elapsed >= interval."""
         self._require_schedule()
         if not self._finite_pos.size:
             return None
@@ -138,7 +146,7 @@ class CrawlPolicy:
             # below 1 and elapsed >= interval one of at least 1: when the
             # top source is not due, no source is.
             return None
-        return self.sources[self._finite_pos[best]]
+        return self._recrawl[self._finite_pos[best]]
 
     @staticmethod
     def schedule_params(params: SourceTable) -> SourceTable:
@@ -158,7 +166,7 @@ class EchoSchedulePolicy(CrawlPolicy):
     def decide(self, now: Seconds, slot_index: int = 0) -> PolicyDecision:
         due = self._most_behind_source(now, due_only=True)
         if due is not None:
-            return RecrawlSource(due)
+            return due
         if self._page_heap:
             return CrawlPage(self._page_heap[0][1])
         return Idle()
@@ -175,7 +183,7 @@ class EchoNewPagesPolicy(CrawlPolicy):
             return CrawlPage(self._page_heap[0][1])
         behind = self._most_behind_source(now, due_only=False)
         if behind is not None:
-            return RecrawlSource(behind)
+            return behind
         return Idle()
 
 
@@ -190,8 +198,15 @@ class EchoGreedyPolicy(CrawlPolicy):
     A zero value rate scores 0 whatever the elapsed time, so a
     never-crawled source outranks every crawled one only once its value
     rate is positive; until then it waits behind every source with a
-    positive score.  Ties on score go to the longest elapsed time, so
-    while all value rates are zero, never-crawled sources come first.
+    positive score.  Ties on score go to the longest elapsed time, then to
+    the lowest id.  When no score is positive (every value rate is zero, or
+    every valued source was crawled just now), every score is 0 and the
+    rule picks the longest-unrecrawled source, ties to the lowest id, so
+    never-crawled sources come first.
+
+    Only the valued sources are scored, so the scan multiplies no 0 by an
+    infinite elapsed time.  This matches scoring every source as long as no
+    crawl time lies after `now`, which the crawl loop guarantees.
     """
 
     uses_values = True
@@ -199,8 +214,9 @@ class EchoGreedyPolicy(CrawlPolicy):
     def __init__(self, sources: Iterable[SourceId]):
         super().__init__(sources)
         self._rate = np.zeros(len(self.sources))
-        self._valued = np.zeros(len(self.sources), dtype=bool)
-        self._score = np.zeros(len(self.sources))
+        # positions and rates of the sources whose value rate is positive
+        self._valued_pos = np.zeros(0, dtype=np.intp)
+        self._valued_rate = np.zeros(0)
 
     def set_source_values(self, values: "Mapping[SourceId, float]") -> None:
         super().set_source_values(values)
@@ -208,20 +224,24 @@ class EchoGreedyPolicy(CrawlPolicy):
             check_setting("value rate", rate, ">= 0")
         for source, rate in values.items():
             self._rate[self._pos[source]] = rate
-        self._valued = self._rate > 0.0
-        # scores stay 0 where the rate is 0 (never written): no 0 * inf
-        self._score = np.zeros(len(self.sources))
+        self._valued_pos = (self._rate > 0.0).nonzero()[0]
+        self._valued_rate = self._rate[self._valued_pos]
 
     def decide(self, now: Seconds, slot_index: int = 0) -> PolicyDecision:
         if self._page_heap:
             return CrawlPage(self._page_heap[0][1])
-        elapsed = now - self._last
-        score = np.multiply(self._rate, elapsed, out=self._score, where=self._valued)
-        best = int(score.argmax())
-        tied = (score == score[best]).nonzero()[0]
-        if tied.size > 1:
-            best = int(tied[elapsed[tied].argmax()])
-        return RecrawlSource(self.sources[best])
+        valued = self._valued_pos
+        if valued.size:
+            elapsed = now - self._last[valued]
+            score = self._valued_rate * elapsed
+            best = int(score.argmax())
+            if score[best] > 0.0:
+                # the last maximum differs from the first only on a tie
+                if best != score.size - 1 - int(score[::-1].argmax()):
+                    tied = (score == score[best]).nonzero()[0]
+                    best = int(tied[elapsed[tied].argmax()])
+                return self._recrawl[valued[best]]
+        return self._recrawl[int((now - self._last).argmax())]
 
 
 class BfsPolicy(CrawlPolicy):
@@ -233,6 +253,7 @@ class BfsPolicy(CrawlPolicy):
         order = list(self.sources)
         random.Random(seed).shuffle(order)
         self.order = tuple(order)
+        self._order_recrawl = tuple(self._recrawl[self._pos[source]] for source in order)
         self._cursor = 0
         # revealed, unfetched pages in discovery order: bfs fetches the head
         self._queue: "deque[PageId]" = deque()
@@ -253,7 +274,7 @@ class BfsPolicy(CrawlPolicy):
     def decide(self, now: Seconds, slot_index: int = 0) -> PolicyDecision:
         if self._queue:
             return CrawlPage(self._queue[0])
-        return RecrawlSource(self.order[self._cursor])
+        return self._order_recrawl[self._cursor]
 
 
 class FixedQuotaPolicy(CrawlPolicy):
@@ -263,8 +284,7 @@ class FixedQuotaPolicy(CrawlPolicy):
     uses_schedule = True
 
     def decide(self, now: Seconds, slot_index: int = 0) -> PolicyDecision:
-        due = self._most_behind_source(now, due_only=True)
-        recrawl = RecrawlSource(due) if due is not None else None
+        recrawl = self._most_behind_source(now, due_only=True)
         fetch = CrawlPage(self._page_heap[0][1]) if self._page_heap else None
         first, second = (recrawl, fetch) if slot_index % 2 == 0 else (fetch, recrawl)
         return first or second or Idle()

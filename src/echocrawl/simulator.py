@@ -366,12 +366,20 @@ class _SourceListing:
         self.next_new = 0  # lowest index never yet discovered
 
     def reveal(self, now: Seconds) -> "list[PageId]":
-        """New page links visible at `now`; advances past vanished ones."""
+        """New page links visible at `now`; advances past vanished ones.
+
+        When the next undiscovered link appears after `now` (or none is
+        left), nothing is new and next_new stays: every later link appears
+        later still, and a link vanishes only after it appears.
+        """
+        next_new = self.next_new
+        if next_new == len(self.appear) or self.appear[next_new] > now:
+            return []
         lo = bisect_right(self.vanish, now)  # first index still listed
         hi = bisect_right(self.appear, now) - 1  # last index already created
-        start = max(lo, self.next_new)
+        start = max(lo, next_new)
         fresh = self.pids[start : hi + 1]
-        self.next_new = max(self.next_new, lo, hi + 1)
+        self.next_new = max(next_new, lo, hi + 1)
         return fresh
 
 
@@ -421,7 +429,7 @@ def run(
     per_source: "dict[SourceId, list[LinkEvent]]" = {sid: [] for sid in sources}
     for ev in scenario.events:
         per_source[ev.source].append(ev)
-    listings = {sid: _SourceListing(evs) for sid, evs in per_source.items()}
+    reveals = {sid: _SourceListing(evs).reveal for sid, evs in per_source.items()}
 
     trace: "list[CrawlRecord]" = []
     discovered: "set[PageId]" = set()
@@ -450,8 +458,6 @@ def run(
 
     def refresh_due_schedule(now: Seconds) -> None:
         nonlocal next_reschedule, schedule_failures
-        if not policy.uses_schedule:
-            return
         while next_reschedule <= now:
             t = next_reschedule
             next_reschedule += cfg.reschedule_period
@@ -464,26 +470,41 @@ def run(
                 # keep steering by the previous schedule until estimates improve
                 schedule_failures += 1
 
+    # The per-slot callees, bound once; a wrapper set on the policy or
+    # estimator instance before the loop starts is bound with them.
+    uses_schedule = policy.uses_schedule
+    decide = policy.decide
+    observe_page = policy.observe_page
+    observe_source_crawled = policy.observe_source_crawled
+    observe_page_crawled = policy.observe_page_crawled
+    register_page = estimator.register_page
+    record_crawl = estimator.record_crawl
+    pages = scenario.pages
+    append = trace.append
+
     for slot, now in _slot_times(horizon, budget):
-        push_due_logs(now)
-        refresh_due_schedule(now)
-        decision = policy.decide(now, slot_index=slot)
+        if now >= next_push:
+            push_due_logs(now)
+        if uses_schedule and now >= next_reschedule:
+            refresh_due_schedule(now)
+        decision = decide(now, slot)
         if isinstance(decision, RecrawlSource):
             sid = decision.source
-            if sid not in listings:
+            if sid not in reveals:
                 raise SimulationError(
                     f"policy {policy_name!r} recrawled unknown source {sid} at t={now}"
                 )
-            fresh = listings[sid].reveal(now)
+            fresh = reveals[sid](now)
             for pid in fresh:
                 discovered.add(pid)
-                estimator.register_page(pid, sid, scenario.pages[pid].created)
-                policy.observe_page(pid, sid, discovered=now)
-                for t_click in scenario.pages[pid].click_times:
+                page = pages[pid]
+                register_page(pid, sid, page.created)
+                observe_page(pid, sid, now)
+                for t_click in page.click_times:
                     heapq.heappush(pending_clicks, (t_click, pid))
-            estimator.record_crawl(sid, now, len(fresh))
-            policy.observe_source_crawled(sid, now)
-            trace.append(CrawlRecord(time=now, action=decision))
+            record_crawl(sid, now, len(fresh))
+            observe_source_crawled(sid, now)
+            append(CrawlRecord(now, decision))
         elif isinstance(decision, CrawlPage):
             pid = decision.page
             if pid not in discovered or pid in fetched:
@@ -493,12 +514,12 @@ def run(
                     f"at t={now} (slot {slot})"
                 )
             fetched.add(pid)
-            realized = float(scenario.pages[pid].clicks_after(now))
+            realized = float(pages[pid].clicks_after(now))
             total += realized
             if now >= warmup:
                 tail += realized
-            trace.append(CrawlRecord(time=now, action=decision, realized_profit=realized))
-            policy.observe_page_crawled(pid, now)
+            append(CrawlRecord(now, decision, realized))
+            observe_page_crawled(pid, now)
         elif isinstance(decision, Idle):
             idle_slots += 1
         else:

@@ -1,12 +1,15 @@
-"""Smoke tests of the benchmark's traced crawl-preset and offline-batch runs.
+"""Smoke tests of the benchmark's traced crawl-preset, crawl-wide and
+offline-batch runs.
 
 The traced run wraps the program's names from outside: it subclasses
 EstimatorState's record_crawl and push_logs, wraps params_snapshot,
-value_rates and the solver, and reads each snapshot with dict().  On the
-offline path it wraps fileio's readers and writers by name, each with the
-file's path as its first argument.  A change to those names, or to what they
-take and return, breaks the benchmark before any benchmark timing shows it;
-these tests show it in the test suite.  Each run takes 10 to 20 s.
+value_rates and the solver, and reads each snapshot with dict().  It wraps
+each policy's decide on the instance, after make_policy and before the
+crawl loop binds it.  On the offline path it wraps fileio's readers and
+writers by name, each with the file's path as its first argument.  A
+change to those names, or to what they take and return, breaks the
+benchmark before any benchmark timing shows it; these tests show it in the
+test suite.  Each run takes 10 to 20 s.
 """
 
 import json
@@ -58,3 +61,12 @@ def test_traced_crawl_preset_round_is_correct_and_counted():
 def test_traced_offline_batch_round_is_correct_and_counted():
     metrics = traced_round("offline-batch")
     assert {name: metrics[name] for name in EXERCISED_OFFLINE if not metrics[name] > 0} == {}
+
+
+def test_traced_crawl_wide_round_is_correct_and_counted():
+    # the crawl loop binds its callees once per run: every decision must
+    # still pass through the instance-level decide wrapper, and every
+    # recrawl through the traced EstimatorState's record_crawl
+    metrics = traced_round("crawl-wide")
+    assert metrics["policies.decide.calls"] == metrics["simulator.slots"] > 0
+    assert metrics["policies.productive_recrawl_ratio"] > 0

@@ -981,6 +981,28 @@ class TestFitAndScheduleCommands:
         assert not (tmp_path / "schedule.csv").exists()
 
     @pytest.mark.parametrize(
+        "command, head, body, line",
+        [
+            ("schedule", b"# echocrawl-params-v1\nsource_id,lambda_rate,profit,decay\n",
+             b"0,0.001,1.0,0.001\n1,0.0\xff01,1.0,0.0001\n", 4),
+            ("schedule", b"# echocrawl-params-v1 seed=\xff\nsource_id,lambda_rate,profit,decay\n",
+             b"0,0.001,1.0,0.001\n", 1),
+            ("fit", b"# echocrawl-clicks-v1\npage_id,source_id,created_s,click_time_s\n",
+             b"1,0,100.0,150.0\n2,0,900.0,\n3,0,9\xff0.0,950.0\n", 5),
+        ],
+        ids=["params-cell", "params-header", "clicks-cell"],
+    )
+    def test_bytes_not_utf8_exit_4_at_their_line(self, tmp_path, capsys, command, head, body, line):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(head + body)
+        argv = [command, str(path), "--out", str(tmp_path), "--quiet"]
+        if command == "schedule":
+            argv += ["--budget", "0.01"]
+        assert cli.main(argv) == cli.EXIT_IO
+        assert f"bad.csv:{line}: not UTF-8 text: byte 0xff\n" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
+
+    @pytest.mark.parametrize(
         "option",
         ["--budget=nan", "--budget=inf", "--budget=-inf", "--budget=0", "--epsilon=nan"]
         + ["--epsilon=inf", "--epsilon=0", "--epsilon=-1e-6"],

@@ -182,6 +182,46 @@ class TestEchoGreedy:
         crawled(policy, 0, 0.0)
         assert policy.decide(1.0) == RecrawlSource(0)
 
+    def test_all_zero_rates_pick_longest_unrecrawled_lowest_id(self):
+        policy = EchoGreedyPolicy([0, 1, 2, 3])
+        policy.set_source_values({0: 0.0, 1: 0.0, 2: 0.0, 3: 0.0})
+        crawled(policy, 0, 6.0)
+        crawled(policy, 1, 3.0)
+        crawled(policy, 2, 8.0)
+        crawled(policy, 3, 3.0)
+        # elapsed 4, 7, 2, 7 at t=10: 1 and 3 tie, the lower id wins
+        assert policy.decide(10.0) == RecrawlSource(1)
+
+    def test_valued_sources_just_crawled_fall_back_to_longest_unrecrawled(self):
+        # every valued source scores 0 (elapsed 0), so every score is 0
+        # and the longest-unrecrawled source wins, valued or not
+        policy = EchoGreedyPolicy([0, 1, 2, 3])
+        policy.set_source_values({1: 2.0, 2: 3.0})
+        crawled(policy, 0, 1.0)
+        crawled(policy, 3, 4.0)
+        crawled(policy, 1, 10.0)
+        crawled(policy, 2, 10.0)
+        assert policy.decide(10.0) == RecrawlSource(0)
+
+    def test_equal_positive_scores_go_to_longest_elapsed(self):
+        policy = EchoGreedyPolicy([0, 1, 2])
+        policy.set_source_values({0: 2.0, 1: 1.0, 2: 0.5})
+        crawled(policy, 0, 5.0)
+        crawled(policy, 1, 0.0)
+        crawled(policy, 2, 9.0)
+        # scores 2 * 5 = 10 and 1 * 10 = 10 tie: the longer elapsed (1)
+        # beats the lower id (0)
+        assert policy.decide(10.0) == RecrawlSource(1)
+
+    def test_never_crawled_valued_sources_tie_at_inf_to_lowest_id(self):
+        policy = EchoGreedyPolicy([5, 2, 7, 4])
+        policy.set_source_values({5: 0.5, 2: 1.0, 7: 3.0, 4: 2.0})
+        crawled(policy, 2, 0.0)
+        # 4, 5 and 7 score inf with inf elapsed: the lowest id of them wins
+        assert policy.decide(1.0) == RecrawlSource(4)
+        crawled(policy, 4, 1.0)
+        assert policy.decide(1.0) == RecrawlSource(5)
+
     def test_drains_frontier_first(self):
         policy = EchoGreedyPolicy([0])
         crawled(policy, 0, 0.0)
@@ -207,6 +247,20 @@ class TestEchoGreedy:
         policy = EchoGreedyPolicy([0])
         with pytest.raises(ValueError):
             policy.set_source_values({0: rate})
+
+
+class TestSharedDecisions:
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_a_source_is_recrawled_by_one_decision_object(self, name):
+        policy = make_policy(name, [0, 1, 2])
+        policy.set_schedule(fixed_schedule({0: 1.0, 1: 1.0, 2: 1.0}))
+        seen = {}
+        for slot in range(9):
+            decision = policy.decide(float(slot), slot_index=slot)
+            assert isinstance(decision, RecrawlSource)
+            assert seen.setdefault(decision.source, decision) is decision
+            crawled(policy, decision.source, float(slot))
+        assert sorted(seen) == [0, 1, 2]
 
 
 class TestBfs:

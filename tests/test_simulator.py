@@ -3,11 +3,13 @@ event-loop legality and conservation invariants, policy convergence at
 saturation, and the schedule-follower consistency check against the
 closed-form quality of a solved schedule."""
 
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from echocrawl.core import CrawlPage, MetricConfig, RecrawlSource, SourceParams
 from echocrawl import cli, fileio, simulator
@@ -221,6 +223,44 @@ class TestGenerator:
         assert list(scenario.clicks) == sorted(scenario.clicks)
         total = sum(p.total_clicks for p in scenario.pages.values())
         assert len(scenario.clicks) == total
+
+
+@st.composite
+def rolling_listings(draw):
+    """(events, appear, vanish, pids, query times) of one source's rolling
+    listing on a small integer grid, so query times hit appear and vanish
+    times exactly.  Page ids fall as appear times rise, and the events come
+    shuffled, so only the listing's own sort puts them in order."""
+    appear = sorted(draw(st.sets(st.integers(0, 30), max_size=12)))
+    window = draw(st.integers(1, 4))
+    horizon = (appear[-1] if appear else 0) + draw(st.integers(1, 3))
+    vanish = [
+        appear[j + window + 1] if j + window + 1 < len(appear) else horizon
+        for j in range(len(appear))
+    ]
+    pids = [100 - j for j in range(len(appear))]
+    events = [LinkEvent(p, 0, float(a), float(v)) for p, a, v in zip(pids, appear, vanish)]
+    events = draw(st.permutations(events))
+    steps = draw(st.lists(st.integers(0, 3), max_size=25))
+    times = list(itertools.accumulate(steps, initial=draw(st.integers(0, 3))))
+    return events, appear, vanish, pids, times
+
+
+class TestSourceListing:
+    @settings(max_examples=300, deadline=None)
+    @given(listing=rolling_listings())
+    def test_reveal_matches_brute_force(self, listing):
+        events, appear, vanish, pids, times = listing
+        index = simulator._SourceListing(events)
+        seen = set()
+        for now in times:
+            fresh = index.reveal(float(now))
+            visible = [p for p, a, v in zip(pids, appear, vanish) if a <= now < v]
+            expected = [p for p in visible if p not in seen]
+            seen.update(expected)
+            assert fresh == expected
+            # every link that has appeared by now was revealed or missed
+            assert index.next_new == sum(a <= now for a in appear)
 
 
 class TestOracle:
